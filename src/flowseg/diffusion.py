@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
-from .grid import GridAdjacency, GridShape, disk, grid_adjacency
+from .grid import GridAdjacency, GridShape, disk, stencil_offsets
 
 
 def diffusion_step(
@@ -50,6 +51,43 @@ def diffusion_step(
     return (1.0 - tau) * z + tau * acc
 
 
+def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
+    """Index dtype for a CSR matrix with at most ``n_slots`` entries per row.
+
+    int32 while every row pointer, at most ``n_nodes * n_slots``, stays below
+    2**31; int64 beyond, so large grids never wrap around.
+    """
+    return np.int32 if n_nodes * n_slots < 2**31 else np.int64
+
+
+def _same_label_operator(lab: np.ndarray, radius: int) -> sparse.csr_array:
+    """0/1 CSR matrix linking each labeled pixel to its same-label disk neighbors.
+
+    Row i holds the neighbors of pixel i in raster slot order, which is
+    ascending node-id order, so the rows are sorted and a product sums each
+    row's terms in slot order. Background rows are empty.
+    """
+    h, w = lab.shape
+    n = h * w
+    offsets = stencil_offsets(disk(radius))
+    # out-of-grid slots read label 0, which never matches a kept (positive) row
+    padded = np.pad(lab, radius)
+    same = np.empty((h, w, len(offsets)), dtype=bool)
+    for c, (dr, dc) in enumerate(offsets):
+        shifted = padded[radius + dr : radius + dr + h, radius + dc : radius + dc + w]
+        np.equal(shifted, lab, out=same[..., c])
+    same[lab == 0] = False
+    same = same.reshape(n, len(offsets))
+
+    itype = _csr_index_dtype(n, len(offsets))
+    delta = np.array([dr * w + dc for dr, dc in offsets], dtype=itype)
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(same.sum(axis=1), out=indptr[1:])
+    indices = (np.arange(n, dtype=itype)[:, None] + delta)[same]
+    data = np.ones(indices.size, dtype=np.float64)
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
 def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.ndarray:
     """Displacement field pulling every labeled pixel toward its instance interior.
 
@@ -61,7 +99,9 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
     in plane 0. Background pixels and pixels with no same-label neighbor keep
     the zero vector.
 
-    Accumulation is in float64 with a fixed slot order, so results are
+    Each round multiplies each coordinate plane by one fixed 0/1 sparse
+    matrix, then divides by the neighbor count. Accumulation is in float64
+    with a fixed CSR row order, equal to slot order, so results are
     deterministic and independent of any parallelism in numpy.
     """
     lab = np.asarray(labels)
@@ -77,20 +117,18 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
         raise ValueError("iters must be >= 0")
 
     shape = GridShape(*lab.shape)
-    adj = grid_adjacency(shape, disk(radius))
-    flat = lab.ravel()
-    nb_label = np.where(adj.valid, flat[adj.nbr_safe], -1)
-    same = (nb_label == flat[:, None]) & (flat[:, None] > 0)
-    count = same.sum(axis=1).astype(np.float64)
+    op = _same_label_operator(lab, radius)
+    count = np.diff(op.indptr).astype(np.float64)
     movable = count > 0
+    denom = np.maximum(count, 1.0)
 
-    rows, cols = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
-    start = np.stack([rows, cols], axis=1).astype(np.float64)
-    coords = start.copy()
-    denom = np.maximum(count, 1.0)[:, None]
-    for _ in range(iters):
-        acc = np.zeros_like(coords)
-        for c in range(adj.n_slots):
-            acc += same[:, c, None] * coords[adj.nbr_safe[:, c]]
-        coords = np.where(movable[:, None], acc / denom, coords)
-    return (coords - start).reshape(shape.h, shape.w, 2)
+    # the row and column coordinates never mix, so each plane iterates alone
+    # (two single-vector products are faster than one two-column product)
+    planes = []
+    for start in np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w):
+        start = start.astype(np.float64)
+        coords = start
+        for _ in range(iters):
+            coords = np.where(movable, (op @ coords) / denom, coords)
+        planes.append(coords - start)
+    return np.stack(planes, axis=-1).reshape(shape.h, shape.w, 2)

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,26 @@ def _sidecar(path) -> Path:
     return Path(str(path) + ".json")
 
 
+def _read_sidecar(path, what: str) -> dict:
+    side = _sidecar(path)
+    if not side.exists():
+        raise ParseError(f"missing {what} {side}")
+    try:
+        meta = json.loads(side.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return meta
+
+
+def _non_negative_int(value, what: str) -> int:
+    """A sidecar entry that must be a non-negative integer, else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def write_field(path, field: np.ndarray) -> None:
     """Write an (h, w, 2) displacement field: f32le payload + JSON sidecar."""
     f = np.asarray(field, dtype=np.float64)
@@ -124,13 +145,7 @@ def write_field(path, field: np.ndarray) -> None:
 
 def read_field(path) -> np.ndarray:
     """Read a displacement field written by :func:`write_field`, as float64."""
-    side = _sidecar(path)
-    if not side.exists():
-        raise ParseError(f"missing field sidecar {side}")
-    try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad field sidecar: {exc}") from None
+    meta = _read_sidecar(path, "field sidecar")
     for key in ("h", "w", "planes", "dtype"):
         if key not in meta:
             raise ParseError(f"field sidecar lacks key {key!r}")
@@ -138,7 +153,8 @@ def read_field(path) -> np.ndarray:
         raise ParseError(f"unsupported field dtype {meta['dtype']!r}")
     if meta["planes"] != 2:
         raise ParseError(f"expected 2 field planes, got {meta['planes']}")
-    h, w = int(meta["h"]), int(meta["w"])
+    h = _non_negative_int(meta["h"], "field height")
+    w = _non_negative_int(meta["w"], "field width")
     data = Path(path).read_bytes()
     need = h * w * 2 * 4
     if len(data) != need:
@@ -168,24 +184,26 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read a tensor file written by :func:`write_tensors`, as float64 arrays."""
-    side = _sidecar(path)
-    if not side.exists():
-        raise ParseError(f"missing tensor manifest {side}")
-    try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad tensor manifest: {exc}") from None
+    meta = _read_sidecar(path, "tensor manifest")
     if meta.get("dtype") != "f32" or meta.get("byte_order") != "little":
         raise ParseError("tensor manifest must declare little-endian f32 data")
     data = Path(path).read_bytes()
     out: dict[str, np.ndarray] = {}
-    for entry in meta.get("tensors", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = int(entry["offset"])
-        end = start + 4 * count
+    entries = meta.get("tensors", [])
+    if not isinstance(entries, list):
+        raise ParseError("tensor manifest's tensors must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ParseError(f"tensor manifest entry {entry!r} lacks a name")
+        name = entry["name"]
+        shape = entry.get("shape")
+        if not isinstance(shape, list):
+            raise ParseError(f"tensor {name!r} needs a shape list, got {shape!r}")
+        shape = tuple(_non_negative_int(s, f"tensor {name!r} dimension") for s in shape)
+        start = _non_negative_int(entry.get("offset"), f"tensor {name!r} offset")
+        end = start + 4 * math.prod(shape)
         if end > len(data):
-            raise ParseError(f"tensor {entry['name']!r} exceeds payload", len(data))
+            raise ParseError(f"tensor {name!r} exceeds payload", len(data))
         arr = np.frombuffer(data[start:end], dtype="<f4").astype(np.float64)
-        out[entry["name"]] = arr.reshape(shape)
+        out[name] = arr.reshape(shape)
     return out

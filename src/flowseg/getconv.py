@@ -209,6 +209,10 @@ def _check_forward_input(feats, adj):
         raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
     if n < 2:
         raise ValueError("normalization needs at least 2 nodes")
+    # one NaN would poison a channel's statistics and standardize it to 0;
+    # min and max carry any NaN or inf without an N x C temporary
+    if not np.isfinite([z.min(), z.max()]).all():
+        raise ValueError("features must be finite")
     return z
 
 
@@ -283,10 +287,8 @@ def getblock_forward(
     if params.dw is None or params.pw is None:
         raise ValueError("block forward needs dw and pw kernels")
     h, w, cdim = z.shape
-    shape = GridShape(h, w)
-    if shape.n_nodes < 2:
-        raise ValueError("normalization needs at least 2 nodes")
-    adj = grid_adjacency(shape, spec)
+    adj = grid_adjacency(GridShape(h, w), spec)
+    _check_forward_input(z.reshape(-1, cdim), adj)
     mixed = pointwise(depthwise(z, params.dw), params.pw).reshape(-1, cdim)
     s = diffusivity(query_messages(mixed, params), adj)
     agg = _aggregate(s, mixed, adj)
@@ -298,10 +300,8 @@ def getblock_forward_jvp(grid_feats, tangent, spec, params):
     z = np.asarray(grid_feats, dtype=np.float64)
     dz = np.asarray(tangent, dtype=np.float64)
     h, w, cdim = z.shape
-    shape = GridShape(h, w)
-    if shape.n_nodes < 2:
-        raise ValueError("normalization needs at least 2 nodes")
-    adj = grid_adjacency(shape, spec)
+    adj = grid_adjacency(GridShape(h, w), spec)
+    _check_forward_input(z.reshape(-1, cdim), adj)
     mixed = pointwise(depthwise(z, params.dw), params.pw).reshape(-1, cdim)
     dmixed = pointwise(depthwise(dz, params.dw), params.pw).reshape(-1, cdim)
     q, dq = _query_messages_jvp(mixed, dmixed, params)

@@ -80,7 +80,7 @@ def _grid_of_instances(shape, k):
     return labels
 
 
-def _random_voronoi(shape, seed):
+def _voronoi_sites(shape, seed) -> list[tuple[int, int]]:
     h, w = _require(shape, 16)
     rng = np.random.default_rng(seed)
     k = max(2, (h * w) // 600)
@@ -92,11 +92,22 @@ def _random_voronoi(shape, seed):
             sites.append(cand)
         else:
             min_dist *= 0.97  # relax until k well-separated sites fit
-    rr, cc = np.mgrid[0:h, 0:w]
-    dist2 = np.stack(
-        [(rr - r) ** 2 + (cc - c) ** 2 for r, c in sites], axis=0
-    )
-    return (dist2.argmin(axis=0) + 1).astype(np.int64)
+    return sites
+
+
+def _random_voronoi(shape, seed):
+    sites = _voronoi_sites(shape, seed)
+    h, w = shape
+    # running minimum over sites; strict < keeps ties on the first site, as argmin does
+    rr, cc = np.ogrid[0:h, 0:w]
+    best = np.full((h, w), np.iinfo(np.int64).max)
+    labels = np.zeros((h, w), dtype=np.int64)
+    for k, (r, c) in enumerate(sites, start=1):
+        d2 = (rr - r) ** 2 + (cc - c) ** 2
+        closer = d2 < best
+        best[closer] = d2[closer]
+        labels[closer] = k
+    return labels
 
 
 def synth(name: str, shape: tuple[int, int], seed: int = 0) -> np.ndarray:

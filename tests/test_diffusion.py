@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowseg import GridShape, diffusion_step, disk, grid_adjacency, gt_displacement, square
+from flowseg.diffusion import _csr_index_dtype
+from flowseg.grid import stencil_offsets
 from oracles import gt_displacement_naive, random_label_map
 
 
@@ -115,6 +117,33 @@ class TestGtDisplacement:
             got = gt_displacement(labels, radius=radius, iters=iters)
             want = gt_displacement_naive(labels, radius, iters)
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_bit_identical_to_naive_oracle(self):
+        # the sparse product sums each row in slot order from zero, exactly as
+        # the oracle does; radius 20 reaches past every side of the grid
+        rng = np.random.default_rng(13)
+        for (h, w), radius, iters in [((14, 16), 2, 8), ((12, 15), 5, 20), ((9, 11), 20, 3)]:
+            labels = random_label_map(rng, h, w)
+            got = gt_displacement(labels, radius=radius, iters=iters)
+            want = gt_displacement_naive(labels, radius, iters)
+            np.testing.assert_array_equal(got, want)
+
+    def test_builds_no_adjacency_tables(self):
+        labels = random_label_map(np.random.default_rng(2), 13, 19)
+        before = grid_adjacency.cache_info()
+        gt_displacement(labels, radius=4, iters=2)
+        after = grid_adjacency.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses and after.hits == before.hits
+
+    def test_csr_index_dtype_never_wraps(self):
+        slots = len(stencil_offsets(disk(5)))  # 80
+        assert _csr_index_dtype(1024 * 1024, slots) is np.int32
+        limit = 2**31 // slots  # largest N whose row pointers stay below 2**31
+        assert _csr_index_dtype(limit, slots) is np.int32
+        assert _csr_index_dtype(limit + 1, slots) is np.int64
+        assert _csr_index_dtype(2**31, 1) is np.int64
+        assert _csr_index_dtype(2**31 - 1, 1) is np.int32
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(3)

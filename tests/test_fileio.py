@@ -117,6 +117,17 @@ class TestFieldFiles:
         with pytest.raises(ParseError, match="dtype"):
             read_field(path)
 
+    # (-2, -2) gives the 32 bytes a 2x2 field has, so only the sign check stops it
+    @pytest.mark.parametrize("h,w", [("x", 2), (-2, -2), (2, -2), (2, 2.5)])
+    def test_bad_dimensions_are_parse_errors(self, tmp_path, h, w):
+        path = tmp_path / "f.df"
+        write_field(path, np.zeros((2, 2, 2)))
+        meta = json.loads((tmp_path / "f.df.json").read_text())
+        meta.update(h=h, w=w)
+        (tmp_path / "f.df.json").write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match="non-negative integer"):
+            read_field(path)
+
     def test_write_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_field(tmp_path / "f.df", np.zeros((3, 3)))
@@ -146,4 +157,29 @@ class TestTensorFiles:
         write_tensors(path, {"a": np.zeros(4)})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError, match="exceeds payload"):
+            read_tensors(path)
+
+    def _two_tensors(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"a": np.arange(8.0), "b": np.arange(4.0)})
+        return path, json.loads((tmp_path / "t.bin.json").read_text())
+
+    @pytest.mark.parametrize("offset", [-32, -1, "0", 1.5, None, 10**6])
+    def test_bad_offset_rejected(self, tmp_path, offset):
+        # offset -32 used to read a[4:8] back as b
+        path, manifest = self._two_tensors(tmp_path)
+        manifest["tensors"][1]["offset"] = offset
+        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError):
+            read_tensors(path)
+
+    @pytest.mark.parametrize("shape", ["missing", None, 4, [4.0], [-4], ["4"]])
+    def test_bad_shape_rejected(self, tmp_path, shape):
+        path, manifest = self._two_tensors(tmp_path)
+        if shape == "missing":
+            del manifest["tensors"][1]["shape"]
+        else:
+            manifest["tensors"][1]["shape"] = shape
+        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="'b'"):
             read_tensors(path)

@@ -7,7 +7,9 @@ from flowseg import (
     LayerParams,
     diffusivity,
     getblock_forward,
+    getblock_forward_jvp,
     getconv_forward,
+    getconv_forward_jvp,
     grid_adjacency,
     isotropic_attention_forward,
     load_layer_params,
@@ -164,6 +166,37 @@ class TestGetconvForward:
         params = random_layer_params(np.random.default_rng(0), 2, adj.n_slots)
         with pytest.raises(ValueError, match="at least 2 nodes"):
             getconv_forward(np.zeros((1, 2)), adj, params)
+
+
+class TestNonFiniteInput:
+    """One NaN used to standardize its whole channel to finite zeros."""
+
+    def _nan_grid(self, bad=np.nan):
+        z = np.random.default_rng(21).normal(size=(4, 4, 3))
+        z[1, 2, 0] = bad
+        return z
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_forward_rejects_non_finite(self, bad):
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
+        with pytest.raises(ValueError, match="finite"):
+            getconv_forward(self._nan_grid(bad).reshape(16, 3), adj, params)
+
+    def test_jvp_rejects_nan(self):
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
+        z = self._nan_grid().reshape(16, 3)
+        with pytest.raises(ValueError, match="finite"):
+            getconv_forward_jvp(z, np.ones_like(z), adj, params)
+
+    def test_getblock_rejects_nan(self):
+        params = random_layer_params(np.random.default_rng(0), 3, 8, kernel=3)
+        z = self._nan_grid()
+        with pytest.raises(ValueError, match="finite"):
+            getblock_forward(z, square(3), params)
+        with pytest.raises(ValueError, match="finite"):
+            getblock_forward_jvp(z, np.ones_like(z), square(3), params)
 
 
 class TestGetblockForward:

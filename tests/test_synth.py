@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from flowseg import synth
+from flowseg.synth import _voronoi_sites
 
 
 def adjacent_pairs(labels, a, b):
@@ -75,6 +76,17 @@ def test_random_voronoi_cells_connected():
         assert 0 not in ids  # full tessellation, no background
         for k in ids:
             assert ndimage.label(labels == k, structure=np.ones((3, 3)))[1] == 1
+
+
+def test_random_voronoi_matches_stacked_argmin():
+    # the former construction: one k x h x w distance stack, argmin over sites
+    for shape in [(16, 16), (31, 40), (128, 128)]:
+        for seed in range(3):
+            labels = synth("random-voronoi", shape, seed=seed)
+            sites = _voronoi_sites(shape, seed)
+            rr, cc = np.mgrid[0 : shape[0], 0 : shape[1]]
+            dist2 = np.stack([(rr - r) ** 2 + (cc - c) ** 2 for r, c in sites], axis=0)
+            np.testing.assert_array_equal(labels, dist2.argmin(axis=0) + 1)
 
 
 def test_unknown_fixture_rejected():
