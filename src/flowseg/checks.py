@@ -31,7 +31,14 @@ from .getconv import (
 )
 from .grid import GridShape, NeighborhoodSpec, grid_adjacency, nid, square
 
-JACOBIAN_OPS = ("diffusivity", "getconv", "getblock", "isotropic")
+# op -> (forward, jvp); see _op_args for what both take after the input
+_OPS = {
+    "diffusivity": (diffusivity, diffusivity_jvp),
+    "getconv": (getconv_forward, getconv_forward_jvp),
+    "getblock": (getblock_forward, getblock_forward_jvp),
+    "isotropic": (isotropic_attention_forward, isotropic_attention_forward_jvp),
+}
+JACOBIAN_OPS = tuple(_OPS)
 
 
 @dataclass
@@ -134,30 +141,10 @@ def random_check_point(op: str, seed: int, channels: int = 4) -> CheckPoint:
     return CheckPoint(op, shape, spec, x, rng.normal(size=x.shape), params)
 
 
-def _evaluate(point: CheckPoint, x: np.ndarray) -> np.ndarray:
-    adj = grid_adjacency(point.shape, point.spec)
-    if point.op == "diffusivity":
-        return diffusivity(x, adj)
-    if point.op == "getconv":
-        return getconv_forward(x, adj, point.params)
-    if point.op == "getblock":
-        return getblock_forward(x, point.spec, point.params)
-    if point.op == "isotropic":
-        return isotropic_attention_forward(x, adj, point.params)
-    raise ValueError(f"unknown op {point.op!r}")
-
-
-def _analytic_jvp(point: CheckPoint) -> np.ndarray:
-    adj = grid_adjacency(point.shape, point.spec)
-    if point.op == "diffusivity":
-        return diffusivity_jvp(point.x, point.tangent, adj)[1]
-    if point.op == "getconv":
-        return getconv_forward_jvp(point.x, point.tangent, adj, point.params)[1]
-    if point.op == "getblock":
-        return getblock_forward_jvp(point.x, point.tangent, point.spec, point.params)[1]
-    if point.op == "isotropic":
-        return isotropic_attention_forward_jvp(point.x, point.tangent, adj, point.params)[1]
-    raise ValueError(f"unknown op {point.op!r}")
+def _op_args(point: CheckPoint) -> tuple:
+    """What the op's forward takes after the input (its jvp: after the tangent)."""
+    grid = point.spec if point.op == "getblock" else grid_adjacency(point.shape, point.spec)
+    return (grid,) if point.params is None else (grid, point.params)
 
 
 def jacobian_check(
@@ -169,9 +156,13 @@ def jacobian_check(
     the two JVPs' max-abs values (floored at 1e-12 so an exactly-zero pair,
     e.g. inside the exponent clamp, passes with error 0).
     """
-    analytic = _analytic_jvp(point)
-    plus = _evaluate(point, point.x + step * point.tangent)
-    minus = _evaluate(point, point.x - step * point.tangent)
+    if point.op not in _OPS:
+        raise ValueError(f"unknown op {point.op!r}; choose from {JACOBIAN_OPS}")
+    forward, jvp = _OPS[point.op]
+    args = _op_args(point)
+    analytic = jvp(point.x, point.tangent, *args)[1]
+    plus = forward(point.x + step * point.tangent, *args)
+    minus = forward(point.x - step * point.tangent, *args)
     fd = (plus - minus) / (2.0 * step)
     if not (np.all(np.isfinite(fd)) and np.all(np.isfinite(analytic))):
         return JacobianReport(point.op, float("inf"), tol, False)

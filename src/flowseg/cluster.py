@@ -3,7 +3,8 @@
 The pipeline: build a transmit graph whose single out-edge per node follows
 the displacement vector, contract messages along it so instance boundaries
 drain to zero, label 8-connected components of the surviving messages, then
-propagate those seed labels back out along the reversed edges.
+propagate those seed labels back out against the direction of the edges:
+each node adopts the label of the node its out-edge points to.
 """
 
 from __future__ import annotations
@@ -21,19 +22,6 @@ class TransmitGraph:
 
     shape: GridShape
     target: np.ndarray
-    mes: np.ndarray
-
-
-@dataclass
-class ReverseGraph:
-    """Edge-reversed transmit graph.
-
-    Node i's unique in-edge arrives from ``source[i]`` (its out-edge target in
-    the original graph), so one message-passing round is ``mes <- mes[source]``.
-    """
-
-    shape: GridShape
-    source: np.ndarray
     mes: np.ndarray
 
 
@@ -159,44 +147,37 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
     return out
 
 
-def reverse(g: TransmitGraph | ReverseGraph) -> ReverseGraph | TransmitGraph:
-    """Flip the direction of every edge; an involution."""
-    if isinstance(g, TransmitGraph):
-        return ReverseGraph(g.shape, g.target.copy(), g.mes.copy())
-    return TransmitGraph(g.shape, g.source.copy(), g.mes.copy())
-
-
-def recover(rg: ReverseGraph, ins: np.ndarray, t1: int = 8) -> np.ndarray:
-    """Propagate seed labels outward along the reversed edges.
+def recover(tg: TransmitGraph, ins: np.ndarray, t1: int = 8) -> np.ndarray:
+    """Propagate seed labels outward against the transmit graph's edges.
 
     Starts from the messages ``ins`` and runs ``t1`` rounds of the same
-    accumulation as :func:`contract` on the reverse graph; since every node
-    has exactly one in-edge there, each round reduces to adopting the label
-    of the node its original out-edge points to. Returns the final (h, w)
-    label map.
+    accumulation as :func:`contract` on the edge-reversed graph; since every
+    node has exactly one in-edge there, each round reduces to adopting the
+    label of the node its out-edge ``target`` points to. Returns the final
+    (h, w) label map.
     """
     if t1 < 0:
         raise ValueError("t1 must be >= 0")
     ins = np.asarray(ins)
-    if ins.shape != (rg.shape.h, rg.shape.w):
-        raise ValueError(f"instance map shape {ins.shape} != grid {rg.shape}")
+    if ins.shape != (tg.shape.h, tg.shape.w):
+        raise ValueError(f"instance map shape {ins.shape} != grid {tg.shape}")
     mes = ins.ravel().copy()
     for _ in range(t1):
-        mes = mes[rg.source]
-    return mes.reshape(rg.shape.h, rg.shape.w)
+        mes = mes[tg.target]
+    return mes.reshape(tg.shape.h, tg.shape.w)
 
 
 def gcm(field: np.ndarray, energy: np.ndarray, t0: int = 2, t1: int = 8) -> np.ndarray:
     """Recover an instance map from a displacement field and an energy map.
 
     Composition of :func:`build_tg`, :func:`contract` (``t0`` rounds),
-    :func:`connected_components`, :func:`reverse`, and :func:`recover`
-    (``t1`` rounds); pixels with zero energy are forced to id 0 at the end,
-    so the energy map always bounds the recovered foreground.
+    :func:`connected_components`, and :func:`recover` (``t1`` rounds);
+    pixels with zero energy are forced to id 0 at the end, so the energy map
+    always bounds the recovered foreground.
     """
     tg = build_tg(field, energy)
     seeds = connected_components(contract(tg, t0).mes, tg.shape)
-    ids = recover(reverse(tg), seeds, t1)
+    ids = recover(tg, seeds, t1)
     return np.where(np.asarray(energy) == 0, 0, ids)
 
 
@@ -232,6 +213,5 @@ def mask_diffusivity(
     cls = np.asarray(cluster_ids).ravel()
     if cls.shape[0] != adj.shape.n_nodes:
         raise ValueError("cluster ids must cover all nodes")
-    nb_cls = np.where(adj.valid, cls[adj.nbr_safe], -1)
-    keep = adj.valid & (nb_cls == cls[:, None])
+    keep = adj.valid & (cls[adj.nbr_safe] == cls[:, None])
     return np.where(keep, s, 0.0)

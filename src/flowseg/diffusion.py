@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .grid import GridAdjacency, GridShape, disk, stencil_offsets
+from .grid import GridAdjacency, GridShape, disk, stencil_offsets, stencil_sum
 
 
 def diffusion_step(
@@ -23,13 +23,17 @@ def diffusion_step(
     tau: step size in [0, 1].
 
     Each node's weights must either sum to 1 (tolerance 1e-6) or satisfy
-    ``tau * sum <= 1``; negative weights are rejected.
+    ``tau * sum <= 1``; negative weights and non-finite features are rejected.
     """
     z = np.asarray(feats, dtype=np.float64)
     s = np.asarray(diffusivity, dtype=np.float64)
     n = adj.shape.n_nodes
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
+    # out-of-grid slots gather node 0 with weight 0, so one inf anywhere would
+    # spread NaN to nodes that are not its neighbors
+    if z.size and not np.isfinite([z.min(), z.max()]).all():
+        raise ValueError("features must be finite")
     if s.shape != (n, adj.n_slots):
         raise ValueError(f"diffusivity must be {(n, adj.n_slots)}, got {s.shape}")
     if not 0.0 <= tau <= 1.0:
@@ -45,10 +49,7 @@ def diffusion_step(
             f"node {bad}: neighborhood diffusivity sums to {sums[bad]}, "
             "expected 1 (tol 1e-6) or tau * sum <= 1"
         )
-    acc = np.zeros_like(z)
-    for c in range(adj.n_slots):
-        acc += s[:, c, None] * z[adj.nbr_safe[:, c]]
-    return (1.0 - tau) * z + tau * acc
+    return (1.0 - tau) * z + tau * stencil_sum(s, z, adj)
 
 
 def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:

@@ -7,8 +7,11 @@ reads the *slot*, not just the endpoint identities, spatially permuting two
 neighbors with identical feature multisets changes the aggregate; the
 isotropic baseline in this module cannot tell them apart.
 
-Every forward here has a companion ``*_jvp`` returning the primal output and
-its directional derivative, used by the finite-difference checks.
+Every forward here has a ``*_jvp`` returning the primal output and its
+directional derivative, used by the finite-difference checks. Both are built
+from the same private primitives (query perceptron, edge weights,
+standardization, residual update), each of which takes an optional tangent,
+so the primal half of every JVP is the forward's own arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate2d
 
 from .cluster import mask_diffusivity
-from .fileio import read_tensors, write_tensors
-from .grid import GridAdjacency, GridShape, NeighborhoodSpec, grid_adjacency
+from .fileio import ParseError, read_tensors, write_tensors
+from .grid import GridAdjacency, GridShape, NeighborhoodSpec, grid_adjacency, stencil_sum
 
 EXP_CLAMP = 30.0
 
@@ -89,38 +91,57 @@ def random_iso_params(rng: np.random.Generator, channels: int, scale: float = 0.
     )
 
 
+def _query(z, dz, params):
+    """Query perceptron and, when ``dz`` is given, its derivative along ``dz``."""
+    pre = z @ params.w1 + params.b1
+    q = np.maximum(pre, 0.0) @ params.w2 + params.b2
+    if dz is None:
+        return q, None
+    return q, np.where(pre > 0, dz @ params.w1, 0.0) @ params.w2
+
+
 def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
     """Row-wise perceptron producing one query per stencil slot, (N, n)."""
     z = np.asarray(feats, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != params.w1.shape[0]:
         raise ValueError(f"features must be (N, {params.w1.shape[0]}), got {z.shape}")
-    hidden = np.maximum(z @ params.w1 + params.b1, 0.0)
-    return hidden @ params.w2 + params.b2
+    return _query(z, None, params)[0]
 
 
-def _query_messages_jvp(feats, tangent, params):
-    z = np.asarray(feats, dtype=np.float64)
-    dz = np.asarray(tangent, dtype=np.float64)
-    pre = z @ params.w1 + params.b1
-    dpre = dz @ params.w1
-    hidden = np.maximum(pre, 0.0)
-    dhidden = np.where(pre > 0, dpre, 0.0)
-    return hidden @ params.w2 + params.b2, dhidden @ params.w2
+def _require_finite(x, what):
+    # min and max carry any NaN or inf without a temporary the size of x
+    if not np.isfinite([x.min(), x.max()]).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def _edge_weights(e, de, adj):
+    """``exp(min(e, EXP_CLAMP))`` on in-grid slots and 0 elsewhere, plus the
+    derivative along ``de`` when given, which is exactly 0 on the clamp."""
+    s = np.where(adj.valid, np.exp(np.minimum(e, EXP_CLAMP)), 0.0)
+    if de is None:
+        return s, None
+    return s, np.where(adj.valid & (e < EXP_CLAMP), s * de, 0.0)
+
+
+def _check_queries(queries, adj):
+    q = np.asarray(queries, dtype=np.float64)
+    if q.shape != (adj.shape.n_nodes, adj.n_slots):
+        raise ValueError(f"queries must be {(adj.shape.n_nodes, adj.n_slots)}, got {q.shape}")
+    # an inf query would come out as the finite clamped weight exp(EXP_CLAMP)
+    _require_finite(q, "queries")
+    return q
 
 
 def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     """Per-edge weights from slot-indexed queries, (N, n_slots).
 
-    ``s[i, c] = exp(q[i, c] + q[j, recip[c]])`` for j = nbr[i, c], with the
-    exponent clamped at EXP_CLAMP; out-of-grid slots get 0 (no edge). The
-    result is symmetric: ``s[i, c] == s[j, recip[c]]`` exactly.
+    ``s[i, c] = exp(q[i, c] + q[j, recip[c]])`` for j = nbr_safe[i, c], with
+    the exponent clamped at EXP_CLAMP; out-of-grid slots get 0 (no edge). The
+    result is symmetric: ``s[i, c] == s[j, recip[c]]`` exactly. Non-finite
+    queries are rejected.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    if q.shape != (adj.shape.n_nodes, adj.n_slots):
-        raise ValueError(f"queries must be {(adj.shape.n_nodes, adj.n_slots)}, got {q.shape}")
-    back = q[adj.nbr_safe, adj.recip[None, :]]
-    s = np.exp(np.minimum(q + back, EXP_CLAMP))
-    return np.where(adj.valid, s, 0.0)
+    q = _check_queries(queries, adj)
+    return _edge_weights(q + q[adj.nbr_safe, adj.recip], None, adj)[0]
 
 
 def diffusivity_jvp(queries, tangent, adj):
@@ -129,77 +150,54 @@ def diffusivity_jvp(queries, tangent, adj):
     The derivative is ``s * (dq_ij + dq_ji)`` off the clamp and exactly 0
     where the clamp is active.
     """
-    q = np.asarray(queries, dtype=np.float64)
+    q = _check_queries(queries, adj)
     dq = np.asarray(tangent, dtype=np.float64)
-    back = q[adj.nbr_safe, adj.recip[None, :]]
-    dback = dq[adj.nbr_safe, adj.recip[None, :]]
-    e = q + back
-    s = np.where(adj.valid, np.exp(np.minimum(e, EXP_CLAMP)), 0.0)
-    ds = np.where(adj.valid & (e < EXP_CLAMP), s * (dq + dback), 0.0)
-    return s, ds
-
-
-def _aggregate(s, feats, adj):
-    acc = np.zeros_like(feats)
-    for c in range(adj.n_slots):
-        acc += s[:, c, None] * feats[adj.nbr_safe[:, c]]
-    return acc
-
-
-def _aggregate_jvp(s, ds, feats, dfeats, adj):
-    acc = np.zeros_like(feats)
-    dacc = np.zeros_like(feats)
-    for c in range(adj.n_slots):
-        zn = feats[adj.nbr_safe[:, c]]
-        dzn = dfeats[adj.nbr_safe[:, c]]
-        acc += s[:, c, None] * zn
-        dacc += ds[:, c, None] * zn + s[:, c, None] * dzn
-    return acc, dacc
+    return _edge_weights(
+        q + q[adj.nbr_safe, adj.recip], dq + dq[adj.nbr_safe, adj.recip], adj
+    )
 
 
 def _group_rows(n_nodes, groups):
     if groups is None:
-        return [np.arange(n_nodes)]
+        return [slice(None)]
     g = np.asarray(groups).ravel()
     if g.shape[0] != n_nodes:
         raise ValueError("norm groups must cover all nodes")
     return [np.flatnonzero(g == v) for v in np.unique(g)]
 
 
-def _standardize(x, groups=None):
+def _standardize(x, dx, groups=None):
     """Per-channel zero-mean unit-variance over nodes (population variance,
-    no epsilon); a constant channel standardizes to exactly 0. With groups,
-    statistics are taken within each group of nodes independently."""
+    no epsilon), and its derivative along ``dx`` when given; a constant channel
+    standardizes to exactly 0. With groups, statistics are taken within each
+    group of nodes independently."""
     out = np.zeros_like(x)
+    dout = None if dx is None else np.zeros_like(x)
     for rows in _group_rows(x.shape[0], groups):
         sub = x[rows]
-        mu = sub.mean(axis=0)
-        centered = sub - mu
+        centered = sub - sub.mean(axis=0)
         std = np.sqrt((centered**2).mean(axis=0))
-        safe = np.where(std > 0, std, 1.0)
-        out[rows] = np.where(std > 0, centered / safe, 0.0)
-    return out
-
-
-def _standardize_jvp(x, dx, groups=None):
-    out = np.zeros_like(x)
-    dout = np.zeros_like(x)
-    for rows in _group_rows(x.shape[0], groups):
-        sub, dsub = x[rows], dx[rows]
-        mu = sub.mean(axis=0)
-        dmu = dsub.mean(axis=0)
-        centered = sub - mu
-        dcentered = dsub - dmu
-        var = (centered**2).mean(axis=0)
-        dvar = 2.0 * (centered * dcentered).mean(axis=0)
-        std = np.sqrt(var)
-        safe = np.where(std > 0, std, 1.0)
         pos = std > 0
+        safe = np.where(pos, std, 1.0)
         out[rows] = np.where(pos, centered / safe, 0.0)
-        dout[rows] = np.where(
-            pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0
-        )
+        if dx is not None:
+            dsub = dx[rows]
+            dcentered = dsub - dsub.mean(axis=0)
+            dvar = 2.0 * (centered * dcentered).mean(axis=0)
+            dout[rows] = np.where(
+                pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0
+            )
     return out, dout
+
+
+def _update(res, feats, s, adj, params, groups=None, dres=None, dfeats=None, ds=None):
+    """``res + BN(sum_j s_ij feats_j) * gamma + beta``, and its derivative
+    along the tangents ``dres``, ``dfeats``, ``ds`` when they are given."""
+    agg = stencil_sum(s, feats, adj)
+    dagg = None if ds is None else stencil_sum(ds, feats, adj) + stencil_sum(s, dfeats, adj)
+    y, dy = _standardize(agg, dagg, groups)
+    out = res + y * params.gamma + params.beta
+    return out, None if dy is None else dres + dy * params.gamma
 
 
 def _check_forward_input(feats, adj):
@@ -209,10 +207,8 @@ def _check_forward_input(feats, adj):
         raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
     if n < 2:
         raise ValueError("normalization needs at least 2 nodes")
-    # one NaN would poison a channel's statistics and standardize it to 0;
-    # min and max carry any NaN or inf without an N x C temporary
-    if not np.isfinite([z.min(), z.max()]).all():
-        raise ValueError("features must be finite")
+    # one NaN would poison a channel's statistics and standardize it to 0
+    _require_finite(z, "features")
     return z
 
 
@@ -237,8 +233,7 @@ def getconv_forward(
     s = diffusivity(query_messages(z, params), adj)
     if cls_mask is not None:
         s = mask_diffusivity(s, cls_mask, adj)
-    agg = _aggregate(s, z, adj)
-    return z + _standardize(agg, norm_groups) * params.gamma + params.beta
+    return _update(z, z, s, adj, params, norm_groups)[0]
 
 
 def getconv_forward_jvp(
@@ -246,30 +241,53 @@ def getconv_forward_jvp(
 ):
     z = _check_forward_input(feats, adj)
     dz = np.asarray(tangent, dtype=np.float64)
-    q, dq = _query_messages_jvp(z, dz, params)
-    s, ds = diffusivity_jvp(q, dq, adj)
+    s, ds = diffusivity_jvp(*_query(z, dz, params), adj)
     if cls_mask is not None:
-        s = mask_diffusivity(s, cls_mask, adj)
-        ds = mask_diffusivity(ds, cls_mask, adj)
-    agg, dagg = _aggregate_jvp(s, ds, z, dz, adj)
-    y, dy = _standardize_jvp(agg, dagg, norm_groups)
-    return z + y * params.gamma + params.beta, dz + dy * params.gamma
+        s, ds = (mask_diffusivity(x, cls_mask, adj) for x in (s, ds))
+    return _update(z, z, s, adj, params, norm_groups, dres=dz, dfeats=dz, ds=ds)
+
+
+def _odd_kernels(shape, channels):
+    """Whether ``shape`` is (channels, k, k) with k odd, so each kernel has a center."""
+    return len(shape) == 3 and shape == (channels, shape[2], shape[2]) and shape[2] % 2 == 1
 
 
 def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Per-channel k x k cross-correlation, zero padding, stride 1."""
+    """Per-channel k x k cross-correlation, zero padding, stride 1.
+
+    ``kernels`` is (C, k, k) with k odd, and ``kernels[ch, dr + k//2,
+    dc + k//2]`` weights the input at offset (dr, dc). The sum runs over the
+    k*k shifted slices of the zero-padded (h, w, C) input in raster order.
+    """
     img = np.asarray(grid_feats, dtype=np.float64)
-    out = np.empty_like(img)
-    for ch in range(img.shape[2]):
-        out[:, :, ch] = correlate2d(
-            img[:, :, ch], kernels[ch], mode="same", boundary="fill", fillvalue=0.0
-        )
+    ker = np.asarray(kernels, dtype=np.float64)
+    if img.ndim != 3:
+        raise ValueError(f"grid features must be (h, w, C), got {img.shape}")
+    h, w, cdim = img.shape
+    if not _odd_kernels(ker.shape, cdim):
+        raise ValueError(f"kernels must be ({cdim}, k, k) with k odd, got {ker.shape}")
+    half = ker.shape[2] // 2
+    padded = np.pad(img, ((half, half), (half, half), (0, 0)))
+    out = np.zeros_like(img)
+    for a, b in np.ndindex(ker.shape[1:]):
+        out += ker[:, a, b] * padded[a : a + h, b : b + w]
     return out
 
 
 def pointwise(grid_feats: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """1x1 channel mix: ``out[..., i] = sum_j kernel[i, j] * in[..., j]``."""
     return np.asarray(grid_feats, dtype=np.float64) @ kernel.T
+
+
+def _check_block_input(grid_feats, spec, params):
+    grid = np.asarray(grid_feats, dtype=np.float64)
+    if grid.ndim != 3:
+        raise ValueError(f"grid features must be (h, w, C), got {grid.shape}")
+    if params.dw is None or params.pw is None:
+        raise ValueError("block forward needs dw and pw kernels")
+    h, w, cdim = grid.shape
+    adj = grid_adjacency(GridShape(h, w), spec)
+    return grid, _check_forward_input(grid.reshape(-1, cdim), adj), adj
 
 
 def getblock_forward(
@@ -281,36 +299,31 @@ def getblock_forward(
     feed both the query perceptron and the aggregation; the residual is the
     raw block input, so zero kernels reduce the block to the identity.
     """
-    z = np.asarray(grid_feats, dtype=np.float64)
-    if z.ndim != 3:
-        raise ValueError(f"grid features must be (h, w, C), got {z.shape}")
-    if params.dw is None or params.pw is None:
-        raise ValueError("block forward needs dw and pw kernels")
-    h, w, cdim = z.shape
-    adj = grid_adjacency(GridShape(h, w), spec)
-    _check_forward_input(z.reshape(-1, cdim), adj)
-    mixed = pointwise(depthwise(z, params.dw), params.pw).reshape(-1, cdim)
+    grid, z, adj = _check_block_input(grid_feats, spec, params)
+    mixed = pointwise(depthwise(grid, params.dw), params.pw).reshape(z.shape)
     s = diffusivity(query_messages(mixed, params), adj)
-    agg = _aggregate(s, mixed, adj)
-    out = z.reshape(-1, cdim) + _standardize(agg) * params.gamma + params.beta
-    return out.reshape(h, w, cdim)
+    return _update(z, mixed, s, adj, params)[0].reshape(grid.shape)
 
 
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
-    z = np.asarray(grid_feats, dtype=np.float64)
-    dz = np.asarray(tangent, dtype=np.float64)
-    h, w, cdim = z.shape
-    adj = grid_adjacency(GridShape(h, w), spec)
-    _check_forward_input(z.reshape(-1, cdim), adj)
-    mixed = pointwise(depthwise(z, params.dw), params.pw).reshape(-1, cdim)
-    dmixed = pointwise(depthwise(dz, params.dw), params.pw).reshape(-1, cdim)
-    q, dq = _query_messages_jvp(mixed, dmixed, params)
-    s, ds = diffusivity_jvp(q, dq, adj)
-    agg, dagg = _aggregate_jvp(s, ds, mixed, dmixed, adj)
-    y, dy = _standardize_jvp(agg, dagg)
-    out = z.reshape(-1, cdim) + y * params.gamma + params.beta
-    dout = dz.reshape(-1, cdim) + dy * params.gamma
-    return out.reshape(h, w, cdim), dout.reshape(h, w, cdim)
+    grid, z, adj = _check_block_input(grid_feats, spec, params)
+    dgrid = np.asarray(tangent, dtype=np.float64)
+    mixed, dmixed = (
+        pointwise(depthwise(x, params.dw), params.pw).reshape(z.shape) for x in (grid, dgrid)
+    )
+    s, ds = diffusivity_jvp(*_query(mixed, dmixed, params), adj)
+    out, dout = _update(
+        z, mixed, s, adj, params, dres=dgrid.reshape(z.shape), dfeats=dmixed, ds=ds
+    )
+    return out.reshape(grid.shape), dout.reshape(grid.shape)
+
+
+def _iso_weights(z, dz, adj, params):
+    """Slot-blind weights ``exp(q_i + k_j)`` from row-wise linear maps, and
+    their derivative along ``dz`` when given."""
+    e = (z @ params.wq + params.bq)[:, None] + (z @ params.wk + params.bk)[adj.nbr_safe]
+    de = None if dz is None else (dz @ params.wq)[:, None] + (dz @ params.wk)[adj.nbr_safe]
+    return _edge_weights(e, de, adj)
 
 
 def isotropic_attention_forward(
@@ -324,28 +337,15 @@ def isotropic_attention_forward(
     and residual are shared with :func:`getconv_forward`.
     """
     z = _check_forward_input(feats, adj)
-    q = z @ params.wq + params.bq
-    k = z @ params.wk + params.bk
-    e = q[:, None] + k[adj.nbr_safe]
-    s = np.where(adj.valid, np.exp(np.minimum(e, EXP_CLAMP)), 0.0)
-    agg = _aggregate(s, z, adj)
-    return z + _standardize(agg) * params.gamma + params.beta
+    s, _ = _iso_weights(z, None, adj, params)
+    return _update(z, z, s, adj, params)[0]
 
 
 def isotropic_attention_forward_jvp(feats, tangent, adj, params):
     z = _check_forward_input(feats, adj)
     dz = np.asarray(tangent, dtype=np.float64)
-    q = z @ params.wq + params.bq
-    dq = dz @ params.wq
-    k = z @ params.wk + params.bk
-    dk = dz @ params.wk
-    e = q[:, None] + k[adj.nbr_safe]
-    de = dq[:, None] + dk[adj.nbr_safe]
-    s = np.where(adj.valid, np.exp(np.minimum(e, EXP_CLAMP)), 0.0)
-    ds = np.where(adj.valid & (e < EXP_CLAMP), s * de, 0.0)
-    agg, dagg = _aggregate_jvp(s, ds, z, dz, adj)
-    y, dy = _standardize_jvp(agg, dagg)
-    return z + y * params.gamma + params.beta, dz + dy * params.gamma
+    s, ds = _iso_weights(z, dz, adj, params)
+    return _update(z, z, s, adj, params, dres=dz, dfeats=dz, ds=ds)
 
 
 _LAYER_TENSORS = ("w1", "b1", "w2", "b2", "gamma", "beta", "dw", "pw")
@@ -362,10 +362,29 @@ def save_layer_params(path, params: LayerParams) -> None:
 
 
 def load_layer_params(path) -> LayerParams:
+    """Read layer weights written by :func:`save_layer_params`.
+
+    Raises ParseError unless, with C the side of ``w1`` and n the columns of
+    ``w2``, the shapes are ``w1``/``pw`` (C, C), ``w2`` (C, n), ``b1``,
+    ``gamma``, ``beta`` (C,), ``b2`` (n,) and ``dw`` (C, k, k) with k odd.
+    """
     tensors = read_tensors(path)
     missing = [n for n in _LAYER_TENSORS[:6] if n not in tensors]
     if missing:
         raise ValueError(f"parameter file lacks tensors: {missing}")
+    for name in ("w1", "w2"):
+        if tensors[name].ndim != 2:
+            raise ParseError(f"tensor {name!r} must be a matrix, got shape {tensors[name].shape}")
+    c, n = tensors["w1"].shape[0], tensors["w2"].shape[1]
+    want = {
+        "w1": (c, c), "b1": (c,), "w2": (c, n), "b2": (n,),
+        "gamma": (c,), "beta": (c,), "pw": (c, c),
+    }
+    for name, shape in want.items():
+        if name in tensors and tensors[name].shape != shape:
+            raise ParseError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    if "dw" in tensors and not _odd_kernels(tensors["dw"].shape, c):
+        raise ParseError(f"tensor 'dw' has shape {tensors['dw'].shape}, expected ({c}, k, k), k odd")
     return LayerParams(
         **{name: tensors[name] for name in _LAYER_TENSORS if name in tensors}
     )

@@ -129,22 +129,21 @@ def neighbors(node: int, spec: NeighborhoodSpec, shape: GridShape) -> list[tuple
 class GridAdjacency:
     """Vectorized stencil adjacency for one (shape, spec) pair.
 
-    ``nbr[i, c]`` is the id of node i's neighbor at slot c, or -1 when that
-    offset leaves the grid; ``nbr_safe`` replaces -1 by 0 so it can be used
-    for gathers (mask with ``valid``). For j = nbr[i, c] it holds that
-    ``nbr[j, recip[c]] == i``.
+    ``nbr_safe[i, c]`` is the id of node i's neighbor at slot c where
+    ``valid[i, c]``, and 0 where that offset leaves the grid, so it can be
+    used for gathers (mask with ``valid``). For a valid slot with
+    j = nbr_safe[i, c] it holds that ``nbr_safe[j, recip[c]] == i``.
     """
 
     shape: GridShape
     spec: NeighborhoodSpec
-    nbr: np.ndarray
     nbr_safe: np.ndarray
     valid: np.ndarray
     recip: np.ndarray
 
     @property
     def n_slots(self) -> int:
-        return self.nbr.shape[1]
+        return self.nbr_safe.shape[1]
 
 
 @lru_cache(maxsize=32)
@@ -154,8 +153,17 @@ def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     rr = rows[:, None] + offs[None, :, 0]
     cc = cols[:, None] + offs[None, :, 1]
     valid = (rr >= 0) & (rr < shape.h) & (cc >= 0) & (cc < shape.w)
-    nbr = np.where(valid, rr * shape.w + cc, -1)
-    nbr_safe = np.where(valid, nbr, 0)
-    for arr in (nbr, nbr_safe, valid):
+    nbr_safe = np.where(valid, rr * shape.w + cc, 0)
+    for arr in (nbr_safe, valid):
         arr.setflags(write=False)
-    return GridAdjacency(shape, spec, nbr, nbr_safe, valid, reciprocal_slots(spec))
+    return GridAdjacency(shape, spec, nbr_safe, valid, reciprocal_slots(spec))
+
+
+def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:
+    """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
+    weights and (N, C) features, added in slot order from zero. Out-of-grid
+    slots gather node 0, so their weights must be 0."""
+    acc = np.zeros_like(feats)
+    for c in range(adj.n_slots):
+        acc += weights[:, c, None] * feats[adj.nbr_safe[:, c]]
+    return acc

@@ -3,13 +3,15 @@ import pytest
 
 from flowseg import (
     GridShape,
+    getconv_forward,
+    getconv_forward_jvp,
     grid_adjacency,
     isomorphism_probe,
     jacobian_check,
     random_check_point,
     square,
 )
-from flowseg.checks import CheckPoint, JACOBIAN_OPS
+from flowseg.checks import _OPS, CheckPoint, JACOBIAN_OPS, _op_args
 from flowseg.getconv import diffusivity_jvp
 
 
@@ -35,6 +37,25 @@ class TestJacobianCheck:
         rep = jacobian_check(random_check_point(op, seed=123))
         assert rep.passed, f"{op}: rel err {rep.max_rel_err}"
         assert rep.max_rel_err < 1e-4
+
+    @pytest.mark.parametrize("op", JACOBIAN_OPS)
+    def test_jvp_primal_is_the_forward(self, op):
+        point = random_check_point(op, seed=3)
+        forward, jvp = _OPS[op]
+        args = _op_args(point)
+        np.testing.assert_array_equal(
+            jvp(point.x, point.tangent, *args)[0], forward(point.x, *args)
+        )
+
+    def test_masked_getconv_jvp_primal_is_the_forward(self):
+        point = random_check_point("getconv", seed=4)
+        adj = grid_adjacency(point.shape, point.spec)
+        cls = np.random.default_rng(4).integers(0, 3, size=adj.shape.n_nodes)
+        kw = {"cls_mask": cls, "norm_groups": cls}
+        np.testing.assert_array_equal(
+            getconv_forward_jvp(point.x, point.tangent, adj, point.params, **kw)[0],
+            getconv_forward(point.x, adj, point.params, **kw),
+        )
 
     def test_diffusivity_derivative_at_zero_queries(self):
         # with all queries zero, every edge weight is exp(0) = 1 and the

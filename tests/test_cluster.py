@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from flowseg import (
     GridShape,
-    ReverseGraph,
     TransmitGraph,
     build_tg,
     cluster_for_masking,
@@ -16,7 +15,6 @@ from flowseg import (
     gt_displacement,
     mask_diffusivity,
     recover,
-    reverse,
     square,
 )
 from oracles import components8
@@ -129,42 +127,30 @@ class TestConnectedComponents:
 
 
 class TestReverseRecover:
-    def test_reverse_pair_and_involution(self):
-        tg = TransmitGraph(GridShape(1, 3), np.array([1, 1, 1]), np.array([5, 0, 2]))
-        rg = reverse(tg)
-        assert isinstance(rg, ReverseGraph)
-        np.testing.assert_array_equal(rg.source, tg.target)
-        back = reverse(rg)
-        assert isinstance(back, TransmitGraph)
-        np.testing.assert_array_equal(back.target, tg.target)
-        np.testing.assert_array_equal(back.mes, tg.mes)
-
     def test_recover_chain(self):
         # tg edges 0 -> 1 -> 2 (2 self-loops); labels flow back in two rounds
         tg = TransmitGraph(GridShape(1, 3), np.array([1, 2, 2]), np.zeros(3))
-        rg = reverse(tg)
         ins = np.array([[0, 0, 5]])
-        np.testing.assert_array_equal(recover(rg, ins, 2), [[5, 5, 5]])
-        np.testing.assert_array_equal(recover(rg, ins, 1), [[0, 5, 5]])
+        np.testing.assert_array_equal(recover(tg, ins, 2), [[5, 5, 5]])
+        np.testing.assert_array_equal(recover(tg, ins, 1), [[0, 5, 5]])
 
     def test_recover_zero_rounds_is_identity(self):
         tg = TransmitGraph(GridShape(1, 3), np.array([1, 2, 2]), np.zeros(3))
         ins = np.array([[3, 0, 5]])
-        np.testing.assert_array_equal(recover(reverse(tg), ins, 0), ins)
+        np.testing.assert_array_equal(recover(tg, ins, 0), ins)
 
     def test_recover_self_loops_keep_labels(self):
         tg = TransmitGraph(GridShape(2, 2), np.arange(4), np.zeros(4))
         ins = np.array([[1, 2], [0, 3]])
-        np.testing.assert_array_equal(recover(reverse(tg), ins, 7), ins)
+        np.testing.assert_array_equal(recover(tg, ins, 7), ins)
 
     def test_recover_label_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         tg = TransmitGraph(GridShape(4, 4), rng.integers(0, 16, 16), np.zeros(16))
-        rg = reverse(tg)
         ins = rng.integers(0, 4, size=(4, 4))
         perm = np.array([0, 7, 5, 9])  # 0 stays 0
         np.testing.assert_array_equal(
-            recover(rg, perm[ins], 5), perm[recover(rg, ins, 5)]
+            recover(tg, perm[ins], 5), perm[recover(tg, ins, 5)]
         )
 
 

@@ -61,6 +61,17 @@ class TestDiffusionStep:
         out = diffusion_step(np.ones((4, 1)), s, 0.2, adj)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        # one inf at node 0 used to turn 8 of the 9 outputs to NaN, five of
+        # them at non-neighbors, through the zero-weight gathers of
+        # out-of-grid slots
+        adj = grid_adjacency(GridShape(3, 3), square(3))
+        z = np.zeros((9, 1))
+        z[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            diffusion_step(z, _uniform_diffusivity(adj), 0.5, adj)
+
     def test_rejects_tau_out_of_range(self):
         adj = grid_adjacency(GridShape(2, 2), square(3))
         s = _uniform_diffusivity(adj)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import flowseg.getconv
 from flowseg import (
     GridShape,
     IsoParams,
     LayerParams,
+    ParseError,
+    depthwise,
     diffusivity,
+    diffusivity_jvp,
     getblock_forward,
     getblock_forward_jvp,
     getconv_forward,
@@ -20,6 +24,7 @@ from flowseg import (
     square,
 )
 from oracles import (
+    oracle_depthwise,
     oracle_diffusivity,
     oracle_getblock,
     oracle_getconv,
@@ -101,13 +106,24 @@ class TestDiffusivity:
         for i in range(20):
             for c in range(8):
                 if adj.valid[i, c]:
-                    assert s[i, c] == s[adj.nbr[i, c], adj.recip[c]]
+                    assert s[i, c] == s[adj.nbr_safe[i, c], adj.recip[c]]
 
     def test_unmasked_edges_are_positive(self):
         rng = np.random.default_rng(6)
         adj = grid_adjacency(GridShape(4, 4), square(3))
         s = diffusivity(rng.normal(scale=20.0, size=(16, 8)), adj)
         assert (s[adj.valid] > 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_queries(self, bad):
+        # a +inf query used to come out as the finite clamped weight exp(30)
+        adj = grid_adjacency(GridShape(2, 2), square(3))
+        q = np.zeros((4, 8))
+        q[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            diffusivity(q, adj)
+        with pytest.raises(ValueError, match="finite"):
+            diffusivity_jvp(q, np.ones_like(q), adj)
 
     def test_exponent_clamp(self):
         adj = grid_adjacency(GridShape(1, 2), square(3))
@@ -237,6 +253,36 @@ class TestGetblockForward:
         with pytest.raises(ValueError, match="dw and pw"):
             getblock_forward(np.zeros((4, 4, 3)), square(3), params)
 
+    def test_jvp_validates_like_the_forward(self):
+        no_kernels = random_layer_params(np.random.default_rng(0), 3, 8)
+        with_kernels = random_layer_params(np.random.default_rng(0), 3, 8, kernel=3)
+        for z, params, message in [
+            (np.zeros((4, 4, 3)), no_kernels, "dw and pw"),
+            (np.zeros((16, 3)), with_kernels, r"\(h, w, C\)"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                getblock_forward(z, square(3), params)
+            with pytest.raises(ValueError, match=message):
+                getblock_forward_jvp(z, z, square(3), params)
+
+
+class TestDepthwise:
+    @pytest.mark.parametrize("h, w, k", [(6, 7, 1), (6, 7, 3), (6, 7, 5), (3, 2, 5)])
+    def test_matches_oracle(self, h, w, k):
+        rng = np.random.default_rng(100 * h + k)
+        img = rng.normal(size=(h, w, 3))
+        kernels = rng.normal(size=(3, k, k))
+        np.testing.assert_allclose(
+            depthwise(img, kernels), oracle_depthwise(img, kernels), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 2), (3, 4, 4), (3, 3, 5), (2, 3, 3), (4, 3, 3), (3, 3)]
+    )
+    def test_rejects_even_non_square_or_mismatched_kernels(self, shape):
+        with pytest.raises(ValueError, match="k odd"):
+            depthwise(np.zeros((4, 4, 3)), np.zeros(shape))
+
 
 class TestIsotropicForward:
     def test_uniform_features_give_uniform_interior(self):
@@ -301,3 +347,44 @@ class TestParamFiles:
         write_tensors(path, {"w1": np.zeros((2, 2))})
         with pytest.raises(ValueError, match="lacks tensors"):
             load_layer_params(path)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("w1", (4, 3)),
+            ("w1", (4,)),
+            ("b1", (3,)),
+            ("w2", (3, 8)),
+            ("w2", (8,)),
+            ("b2", (7,)),
+            ("gamma", (7,)),
+            ("beta", (4, 1)),
+            ("pw", (4, 5)),
+            ("dw", (4, 2, 2)),
+            ("dw", (4, 3, 5)),
+            ("dw", (3, 3, 3)),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, tmp_path, name, shape):
+        params = random_layer_params(np.random.default_rng(19), 4, 8, kernel=3)
+        setattr(params, name, np.zeros(shape))
+        path = tmp_path / "layer.bin"
+        save_layer_params(path, params)
+        with pytest.raises(ParseError, match=name):
+            load_layer_params(path)
+
+
+def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
+    # wrappers put around query_messages and diffusivity (timing, counting)
+    # must see forward passes only
+    def refuse(*args):
+        raise AssertionError("called from a JVP")
+
+    monkeypatch.setattr(flowseg.getconv, "query_messages", refuse)
+    monkeypatch.setattr(flowseg.getconv, "diffusivity", refuse)
+    rng = np.random.default_rng(20)
+    adj = grid_adjacency(GridShape(4, 4), square(3))
+    z = rng.normal(size=(16, 3))
+    getconv_forward_jvp(z, z, adj, random_layer_params(rng, 3, 8))
+    grid = z.reshape(4, 4, 3)
+    getblock_forward_jvp(grid, grid, square(3), random_layer_params(rng, 3, 8, kernel=3))

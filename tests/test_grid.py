@@ -14,7 +14,8 @@ from flowseg import (
     square,
     stencil_offsets,
 )
-from oracles import offsets_disk, offsets_square
+from flowseg.grid import stencil_sum
+from oracles import oracle_aggregate, offsets_disk, offsets_square
 
 small_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: GridShape(*t))
 specs = st.one_of(
@@ -137,9 +138,9 @@ def test_adjacency_table_matches_neighbors(shape, spec):
         expected = dict(neighbors(i, spec, shape))
         for c in range(adj.n_slots):
             if adj.valid[i, c]:
-                assert adj.nbr[i, c] == expected[c]
+                assert adj.nbr_safe[i, c] == expected[c]
             else:
-                assert adj.nbr[i, c] == -1
+                assert adj.nbr_safe[i, c] == 0
                 assert c not in expected
 
 
@@ -148,5 +149,18 @@ def test_adjacency_reciprocity():
     for i in range(adj.shape.n_nodes):
         for c in range(adj.n_slots):
             if adj.valid[i, c]:
-                j = adj.nbr[i, c]
-                assert adj.nbr[j, adj.recip[c]] == i
+                j = adj.nbr_safe[i, c]
+                assert adj.nbr_safe[j, adj.recip[c]] == i
+
+
+@given(small_shapes, specs, st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_stencil_sum_matches_brute_force_aggregate(shape, spec, seed):
+    rng = np.random.default_rng(seed)
+    adj = grid_adjacency(shape, spec)
+    weights = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
+    feats = rng.normal(size=(shape.n_nodes, 3))
+    np.testing.assert_array_equal(
+        stencil_sum(weights, feats, adj),
+        oracle_aggregate(weights, feats, shape.h, shape.w, spec),
+    )
