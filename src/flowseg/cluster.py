@@ -2,9 +2,10 @@
 
 The pipeline: build a transmit graph whose single out-edge per node follows
 the displacement vector, contract messages along it so instance boundaries
-drain to zero, label 8-connected components of the surviving messages, then
-propagate those seed labels back out against the direction of the edges:
-each node adopts the label of the node its out-edge points to.
+drain to zero, label 8-connected components of the surviving messages
+(``scipy.ndimage.label``), then propagate those seed labels back out against
+the direction of the edges: each node adopts the label of the node its
+out-edge points to. Every stage is whole-array numpy or scipy code.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .grid import GridAdjacency, GridShape
 
@@ -70,80 +72,17 @@ def contract(tg: TransmitGraph, t0: int = 2) -> TransmitGraph:
     return TransmitGraph(tg.shape, tg.target.copy(), mes)
 
 
-class _DisjointSet:
-    __slots__ = ("parent",)
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
-
-
 def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
     """8-connected components of the nonzero support of a per-node scalar.
 
     Returns an (h, w) map with id 0 where the message is zero and component
     ids 1..k assigned in raster order of each component's first pixel.
     """
-    h, w = shape.h, shape.w
-    fg = (np.asarray(mes).reshape(h, w) != 0).tolist()
-    prov = [[-1] * w for _ in range(h)]
-    ds = _DisjointSet()
-    for r in range(h):
-        fg_r, prov_r = fg[r], prov[r]
-        prov_up = prov[r - 1] if r > 0 else None
-        for c in range(w):
-            if not fg_r[c]:
-                continue
-            best = -1
-            if prov_up is not None:
-                for cc in (c - 1, c, c + 1):
-                    if 0 <= cc < w and prov_up[cc] >= 0:
-                        if best < 0:
-                            best = prov_up[cc]
-                        else:
-                            ds.union(best, prov_up[cc])
-            if c > 0 and prov_r[c - 1] >= 0:
-                if best < 0:
-                    best = prov_r[c - 1]
-                else:
-                    ds.union(best, prov_r[c - 1])
-            if best < 0:
-                best = ds.make()
-            prov_r[c] = best
-
-    out = np.zeros((h, w), dtype=np.int64)
-    remap: dict[int, int] = {}
-    for r in range(h):
-        prov_r = prov[r]
-        for c in range(w):
-            p = prov_r[c]
-            if p < 0:
-                continue
-            root = ds.find(p)
-            label = remap.get(root)
-            if label is None:
-                label = len(remap) + 1
-                remap[root] = label
-            out[r, c] = label
+    fg = np.asarray(mes).reshape(shape.h, shape.w) != 0
+    out = np.empty((shape.h, shape.w), dtype=np.int64)
+    # scipy numbers the components in raster order of their first pixel, the
+    # id order declared above; acceptance criterion 9 pins it
+    ndimage.label(fg, structure=np.ones((3, 3), dtype=bool), output=out)
     return out
 
 

@@ -1,10 +1,13 @@
 """Binary artifact formats.
 
 * label / instance / energy maps: binary portable graymap (P5) with maxval
-  up to 65535, two bytes per sample most-significant first
-* displacement fields: raw little-endian float32 payload (row plane, then
+  up to 65535, two bytes per sample most-significant first; ids above 65535
+  cannot be written
+* displacement fields: raw little-endian float64 payload (row plane, then
   column plane, each row-major) plus a JSON sidecar ``<path>.json`` with
-  ``{"h", "w", "planes": 2, "dtype": "f32le"}``
+  ``{"h", "w", "planes": 2, "dtype": "f64le"}``. The field is stored at the
+  precision it is computed in, so clustering a field read back gives the
+  same instance map as clustering it in memory
 * parameter tensors: concatenated little-endian float32 payload plus a JSON
   manifest sidecar naming each tensor, its shape, and its byte offset
 """
@@ -131,15 +134,15 @@ def _non_negative_int(value, what: str) -> int:
 
 
 def write_field(path, field: np.ndarray) -> None:
-    """Write an (h, w, 2) displacement field: f32le payload + JSON sidecar."""
+    """Write an (h, w, 2) displacement field: f64le payload + JSON sidecar."""
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 2:
         raise ValueError(f"field must be (h, w, 2), got {f.shape}")
     h, w = f.shape[:2]
-    payload = f[..., 0].astype("<f4").tobytes() + f[..., 1].astype("<f4").tobytes()
+    payload = f[..., 0].astype("<f8").tobytes() + f[..., 1].astype("<f8").tobytes()
     Path(path).write_bytes(payload)
     _sidecar(path).write_text(
-        json.dumps({"h": h, "w": w, "planes": 2, "dtype": "f32le"}) + "\n"
+        json.dumps({"h": h, "w": w, "planes": 2, "dtype": "f64le"}) + "\n"
     )
 
 
@@ -149,19 +152,19 @@ def read_field(path) -> np.ndarray:
     for key in ("h", "w", "planes", "dtype"):
         if key not in meta:
             raise ParseError(f"field sidecar lacks key {key!r}")
-    if meta["dtype"] != "f32le":
+    if meta["dtype"] != "f64le":
         raise ParseError(f"unsupported field dtype {meta['dtype']!r}")
     if meta["planes"] != 2:
         raise ParseError(f"expected 2 field planes, got {meta['planes']}")
     h = _non_negative_int(meta["h"], "field height")
     w = _non_negative_int(meta["w"], "field width")
     data = Path(path).read_bytes()
-    need = h * w * 2 * 4
+    need = h * w * 2 * 8
     if len(data) != need:
         raise ParseError(
             f"field payload is {len(data)} bytes, expected {need}", len(data)
         )
-    planes = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(2, h, w)
+    planes = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(2, h, w)
     return np.stack([planes[0], planes[1]], axis=-1)
 
 

@@ -3,10 +3,11 @@
 An "object" is the pixel set of one positive id in an instance map (id 0 is
 background). Conventions, declared once and used by every metric:
 
-* detection (obj_f1): a predicted object is a true positive iff it overlaps
-  some not-yet-claimed ground-truth object by strictly more than 50% of that
-  object's area; predictions are processed in raster order of their first
-  pixel and claim the candidate with the largest overlap (raster tie-break)
+* detection (obj_f1): a ground-truth object is detected by the prediction
+  covering strictly more than 50% of its area; predictions are disjoint, so
+  there is at most one such prediction. A prediction that majority-covers
+  several ground-truth objects matches only the one it overlaps most (raster
+  tie-break) and leaves the others undetected
 * pairing (obj_dice / obj_hd): each object pairs with the counterpart of
   largest pixel overlap (raster tie-break); contributions are weighted by the
   object's share of its map's total foreground area and the two directional
@@ -17,6 +18,10 @@ background). Conventions, declared once and used by every metric:
   metric is the image diagonal ``hypot(h-1, w-1)``
 * boundary pixels are foreground pixels with at least one 4-neighbor outside
   their object (out-of-grid counts as outside); distances are Euclidean
+
+Every public metric extracts each map's objects and their overlap matrix
+once. Boundaries come from one pass over each map, and the Hausdorff distance
+is exact: squared distances of integer pixel coordinates need no rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 @dataclass
@@ -42,24 +46,30 @@ def _extract(m: np.ndarray) -> _ObjectSet:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"instance map must be 2-D, got shape {a.shape}")
-    flat = a.ravel()
-    uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    uniq, first, inverse, counts = np.unique(
+        a.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
     fg = uniq > 0
     order = np.argsort(first[fg], kind="stable")
     rank = np.full(len(uniq), -1, dtype=np.int64)
     rank[np.flatnonzero(fg)[order]] = np.arange(order.size)
     index = rank[inverse].reshape(a.shape)
-    areas = np.bincount(index.ravel()[index.ravel() >= 0], minlength=order.size)
-    return _ObjectSet(ids=uniq[fg][order], index=index, areas=areas)
+    return _ObjectSet(ids=uniq[fg][order], index=index, areas=counts[fg][order])
 
 
 def _overlap_matrix(gt: _ObjectSet, pred: _ObjectSet) -> np.ndarray:
-    both = (gt.index.ravel() >= 0) & (pred.index.ravel() >= 0)
-    if not both.any() or gt.count == 0 or pred.count == 0:
-        return np.zeros((gt.count, pred.count), dtype=np.int64)
-    keys = gt.index.ravel()[both] * pred.count + pred.index.ravel()[both]
+    both = (gt.index >= 0) & (pred.index >= 0)
+    keys = gt.index[both] * pred.count + pred.index[both]
     counts = np.bincount(keys, minlength=gt.count * pred.count)
     return counts.reshape(gt.count, pred.count)
+
+
+def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple[_ObjectSet, _ObjectSet, np.ndarray]:
+    """Object sets of both maps and their (n_gt, n_pred) overlap matrix."""
+    g, p = _extract(gt), _extract(pred)
+    if g.index.shape != p.index.shape:
+        raise ValueError("prediction and ground truth shapes differ")
+    return g, p, _overlap_matrix(g, p)
 
 
 @dataclass
@@ -78,32 +88,21 @@ class MatchReport:
 
 
 def match_objects(pred: np.ndarray, gt: np.ndarray) -> MatchReport:
-    g, p = _extract(gt), _extract(pred)
-    if g.index.shape != p.index.shape:
-        raise ValueError("prediction and ground truth shapes differ")
-    overlap = _overlap_matrix(g, p)
-    claimed = np.zeros(g.count, dtype=bool)
-    matched_pred: list[int | None] = [None] * g.count
-    tp = 0
-    for j in range(p.count):
-        best = -1
-        best_area = 0
-        for i in range(g.count):
-            if claimed[i]:
-                continue
-            if overlap[i, j] * 2 > g.areas[i] and overlap[i, j] > best_area:
-                best, best_area = i, overlap[i, j]
-        if best >= 0:
-            claimed[best] = True
-            matched_pred[best] = int(p.ids[j])
-            tp += 1
+    """Detection match of every ground-truth object (module docstring rule)."""
+    g, p, overlap = _pair(pred, gt)
+    cand = np.where(2 * overlap > g.areas[:, None], overlap, 0)
+    # a leading zero row takes the argmax of a prediction that covers no GT
+    best = np.vstack([np.zeros((1, p.count), cand.dtype), cand]).argmax(axis=0) - 1
+    hit = np.flatnonzero(best >= 0)
+    matched = np.full(g.count, -1)
+    matched[best[hit]] = hit
     return MatchReport(
-        tp=tp,
-        fp=p.count - tp,
-        fn=int((~claimed).sum()),
+        tp=hit.size,
+        fp=p.count - hit.size,
+        fn=g.count - hit.size,
         gt_ids=[int(i) for i in g.ids],
         pred_ids=[int(i) for i in p.ids],
-        matched_pred=matched_pred,
+        matched_pred=[int(p.ids[j]) if j >= 0 else None for j in matched],
         overlaps=overlap,
         gt_areas=g.areas,
         pred_areas=p.areas,
@@ -119,32 +118,24 @@ def obj_f1(pred: np.ndarray, gt: np.ndarray) -> float:
     return 2.0 * rep.tp / (2.0 * rep.tp + rep.fp + rep.fn)
 
 
-def _best_counterparts(overlap: np.ndarray, axis: int) -> np.ndarray:
-    """Index of the max-overlap counterpart per row (axis=1) or column
-    (axis=0); -1 where there is no overlap. Ties go to the earlier object."""
-    if overlap.size == 0:
-        n = overlap.shape[0] if axis == 1 else overlap.shape[1]
-        return np.full(n, -1, dtype=np.int64)
-    best = overlap.argmax(axis=axis)
-    hit = overlap.max(axis=axis) > 0
-    return np.where(hit, best, -1)
+def _best_counterparts(overlap: np.ndarray) -> np.ndarray:
+    """Index of the max-overlap counterpart per row; -1 where there is no
+    overlap. Ties go to the earlier object."""
+    return np.where(overlap.max(axis=1) > 0, overlap.argmax(axis=1), -1)
 
 
 def obj_dice(pred: np.ndarray, gt: np.ndarray) -> float:
     """Area-weighted symmetric object Dice; unmatched objects contribute 0."""
-    g, p = _extract(gt), _extract(pred)
-    if g.index.shape != p.index.shape:
-        raise ValueError("prediction and ground truth shapes differ")
+    g, p, overlap = _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 1.0
     if g.count == 0 or p.count == 0:
         return 0.0
-    overlap = _overlap_matrix(g, p)
     gt_total = g.areas.sum()
     pred_total = p.areas.sum()
 
     def one_side(areas, other_areas, ov, total):
-        best = _best_counterparts(ov, axis=1)
+        best = _best_counterparts(ov)
         acc = 0.0
         for i in range(len(areas)):
             j = best[i]
@@ -162,24 +153,32 @@ def obj_dice(pred: np.ndarray, gt: np.ndarray) -> float:
     )
 
 
-def _boundary_points(index: np.ndarray, k: int) -> np.ndarray:
-    """(m, 2) coordinates of object k's boundary pixels (4-neighbor rule)."""
-    mask = index == k
-    up = np.zeros_like(mask)
-    up[1:, :] = mask[:-1, :]
-    down = np.zeros_like(mask)
-    down[:-1, :] = mask[1:, :]
-    left = np.zeros_like(mask)
-    left[:, 1:] = mask[:, :-1]
-    right = np.zeros_like(mask)
-    right[:, :-1] = mask[:, 1:]
-    boundary = mask & ~(up & down & left & right)
-    return np.argwhere(boundary).astype(np.float64)
+def _boundary_points(objs: _ObjectSet) -> list[np.ndarray]:
+    """Per object, the (m, 2) coordinates of its boundary pixels (4-neighbor
+    rule) in raster order, from one pass over the whole index map."""
+    idx = np.pad(objs.index, 1, constant_values=-1)
+    core = idx[1:-1, 1:-1]
+    inner = (
+        (core == idx[:-2, 1:-1])
+        & (core == idx[2:, 1:-1])
+        & (core == idx[1:-1, :-2])
+        & (core == idx[1:-1, 2:])
+    )
+    rows, cols = np.nonzero((core >= 0) & ~inner)
+    owner = core[rows, cols]
+    order = np.argsort(owner, kind="stable")
+    pts = np.stack([rows[order], cols[order]], axis=1).astype(np.float64)
+    return np.split(pts, np.cumsum(np.bincount(owner, minlength=objs.count))[:-1])
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    d = cdist(a, b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    # squared distances of integer coordinates are exact in float64, so the
+    # square root of the extreme equals the Euclidean distance bit for bit
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += (a * a).sum(axis=1)[:, None]
+    d2 += (b * b).sum(axis=1)
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
 def obj_hd(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -190,17 +189,14 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray) -> float:
     maps empty of objects gives 0.0; exactly one empty gives the image
     diagonal.
     """
-    g, p = _extract(gt), _extract(pred)
-    if g.index.shape != p.index.shape:
-        raise ValueError("prediction and ground truth shapes differ")
+    g, p, overlap = _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 0.0
     h, w = g.index.shape
     if g.count == 0 or p.count == 0:
         return float(np.hypot(h - 1, w - 1))
-    overlap = _overlap_matrix(g, p)
-    gt_pts = [_boundary_points(g.index, i) for i in range(g.count)]
-    pred_pts = [_boundary_points(p.index, j) for j in range(p.count)]
+    gt_pts = _boundary_points(g)
+    pred_pts = _boundary_points(p)
     cache: dict[tuple[int, int], float] = {}
 
     def hd(i, j):
@@ -211,7 +207,7 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray) -> float:
 
     def one_side(n_self, areas, total, ov, pair_hd, n_other):
         acc = 0.0
-        best = _best_counterparts(ov, axis=1)
+        best = _best_counterparts(ov)
         for i in range(n_self):
             j = best[i]
             if j < 0:
@@ -235,22 +231,17 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
     with that match).
     """
     rep = match_objects(pred, gt)
-    per_object = []
-    for i, gid in enumerate(rep.gt_ids):
-        pid = rep.matched_pred[i]
-        if pid is None:
-            shared = 0
-        else:
-            j = rep.pred_ids.index(pid)
-            shared = int(rep.overlaps[i, j])
-        per_object.append(
-            {
-                "gt_id": gid,
-                "pred_id": pid,
-                "gt_area": int(rep.gt_areas[i]),
-                "overlap": shared,
-            }
-        )
+    # a match covers a strict majority of its object, so no other prediction
+    # overlaps that object as much: the shared pixels are the row's maximum
+    per_object = [
+        {
+            "gt_id": gid,
+            "pred_id": pid,
+            "gt_area": int(area),
+            "overlap": 0 if pid is None else int(row.max()),
+        }
+        for gid, pid, area, row in zip(rep.gt_ids, rep.matched_pred, rep.gt_areas, rep.overlaps)
+    ]
     return {
         "obj_f1": obj_f1(pred, gt),
         "obj_dice": obj_dice(pred, gt),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowseg import gt_displacement, read_field, read_map, synth, write_field, write_map
+from flowseg import gcm, gt_displacement, read_field, read_map, synth, write_field, write_map
 from flowseg.cli import cli
 from oracles import components8
 
@@ -23,7 +23,20 @@ def test_gen_df_matches_library(tmp_path):
     assert cli(["gen-df", str(labels_path), str(field_path), "--radius", "3", "--iters", "16"]) == 0
     want = gt_displacement(read_map(labels_path), radius=3, iters=16)
     got = read_field(field_path)
-    np.testing.assert_allclose(got, want, atol=1e-6)  # f32 storage
+    np.testing.assert_array_equal(got, want)
+
+
+def test_cli_round_trip_matches_library(tmp_path):
+    # a field file below float64 precision changes 310 pixels of this map
+    labels_path = tmp_path / "labels.pgm"
+    field_path = tmp_path / "field.df"
+    out_path = tmp_path / "ids.pgm"
+    synth_args = ["grid-of-9-instances", str(labels_path), "--height", "31", "--width", "31"]
+    assert cli(["synth", *synth_args]) == 0
+    assert cli(["gen-df", str(labels_path), str(field_path)]) == 0
+    assert cli(["cluster", str(labels_path), str(field_path), str(out_path)]) == 0
+    labels = read_map(labels_path)
+    np.testing.assert_array_equal(read_map(out_path), gcm(gt_displacement(labels), labels))
 
 
 def test_cluster_zero_field_gives_components(tmp_path):
@@ -82,6 +95,17 @@ def test_missing_file_exits_one(tmp_path, capsys):
 def test_bad_fixture_name_exits_one(tmp_path, capsys):
     assert cli(["synth", "not-a-fixture", str(tmp_path / "x.pgm")]) == 1
     assert "unknown fixture" in capsys.readouterr().err
+
+
+def test_more_ids_than_a_map_holds_exits_one(tmp_path, capsys):
+    energy = np.zeros((512, 512), dtype=np.int64)
+    energy[::2, ::2] = 1  # 65536 isolated pixels, one id each under a zero field
+    energy_path = tmp_path / "energy.pgm"
+    field_path = tmp_path / "zero.df"
+    write_map(energy_path, energy)
+    write_field(field_path, np.zeros((512, 512, 2)))
+    assert cli(["cluster", str(energy_path), str(field_path), str(tmp_path / "ids.pgm")]) == 1
+    assert "65535" in capsys.readouterr().err
 
 
 def test_mismatched_field_and_energy(tmp_path, capsys):

@@ -117,13 +117,19 @@ class TestConnectedComponents:
         out = connected_components(mes.ravel(), GridShape(4, 4))
         assert out[0, 0] == out[1, 1] == 1
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_matches_scipy_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        binary = rng.random((12, 14)) < 0.4
-        out = connected_components(binary.ravel().astype(float), GridShape(12, 14))
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=60)
+    def test_matches_scipy_oracle(self, h, w, density, seed):
+        binary = np.random.default_rng(seed).random((h, w)) < density
+        out = connected_components(binary.ravel().astype(float), GridShape(h, w))
         np.testing.assert_array_equal(out, components8(binary))
+        # ids are 1..k, numbered in raster order of each component's first pixel
+        ids, first = np.unique(out.ravel(), return_index=True)
+        k = int(out.max())
+        np.testing.assert_array_equal(ids[ids > 0], np.arange(1, k + 1))
+        assert np.all(np.diff(first[ids > 0]) > 0)
 
 
 class TestReverseRecover:

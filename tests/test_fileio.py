@@ -93,7 +93,7 @@ class TestFieldFiles:
         got = read_field(path)
         np.testing.assert_array_equal(got, field)
         meta = json.loads((tmp_path / "f.df.json").read_text())
-        assert meta == {"h": 5, "w": 7, "planes": 2, "dtype": "f32le"}
+        assert meta == {"h": 5, "w": 7, "planes": 2, "dtype": "f64le"}
 
     def test_payload_length_checked(self, tmp_path):
         path = tmp_path / "f.df"
@@ -112,7 +112,7 @@ class TestFieldFiles:
         path = tmp_path / "f.df"
         write_field(path, np.zeros((2, 2, 2)))
         meta = json.loads((tmp_path / "f.df.json").read_text())
-        meta["dtype"] = "f64le"
+        meta["dtype"] = "f32le"
         (tmp_path / "f.df.json").write_text(json.dumps(meta))
         with pytest.raises(ParseError, match="dtype"):
             read_field(path)

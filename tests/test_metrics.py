@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import evaluate, match_objects, obj_dice, obj_f1, obj_hd
+from flowseg import evaluate, match_objects, obj_dice, obj_f1, obj_hd, synth
 from oracles import metric_obj_dice, metric_obj_f1, metric_obj_hd, random_instance_pair
 
 
@@ -49,6 +49,22 @@ class TestObjF1:
         assert rep.matched_pred == [5]
         assert obj_f1(pred, gt) == pytest.approx(2 / 3)
 
+    def test_one_prediction_covering_two_objects_matches_the_first(self):
+        gt = np.zeros((8, 12), dtype=np.int64)
+        gt[2:6, 1:5] = 4
+        gt[2:6, 6:10] = 2   # same area as id 4, later in raster order
+        pred = np.zeros_like(gt)
+        pred[2:6, 1:10] = 7  # covers all of both
+        rep = match_objects(pred, gt)
+        assert (rep.tp, rep.fp, rep.fn) == (1, 0, 1)
+        assert rep.matched_pred == [7, None]
+
+    def test_empty_ground_truth(self):
+        pred = two_object_map()
+        rep = match_objects(pred, np.zeros_like(pred))
+        assert (rep.tp, rep.fp, rep.fn) == (0, 2, 0)
+        assert obj_f1(pred, np.zeros_like(pred)) == 0.0
+
 
 class TestObjDice:
     def test_identical_maps(self):
@@ -92,6 +108,15 @@ class TestObjHd:
         pred[3:7, 3:7] = 1
         assert obj_hd(pred, gt) == pytest.approx(1.0)
 
+    def test_one_pixel_wide_object_is_all_boundary(self):
+        # every pixel of a 1-wide column has a left or right neighbor outside it
+        gt = np.zeros((21, 4), dtype=np.int64)
+        gt[:, 0] = 1
+        pred = gt.copy()
+        pred[10, 1] = 1
+        assert obj_hd(pred, gt) == 1.0
+        assert metric_obj_hd(pred, gt) == 1.0
+
     def test_empty_prediction_gives_diagonal(self):
         gt = two_object_map()
         assert obj_hd(np.zeros_like(gt), gt) == pytest.approx(np.hypot(15, 15))
@@ -133,6 +158,20 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         pred, gt = random_instance_pair(np.random.default_rng(seed), 16, 16)
+        assert obj_f1(pred, gt) == pytest.approx(metric_obj_f1(pred, gt), abs=1e-9)
+        assert obj_dice(pred, gt) == pytest.approx(metric_obj_dice(pred, gt), abs=1e-9)
+        assert obj_hd(pred, gt) == pytest.approx(metric_obj_hd(pred, gt), abs=1e-9)
+
+    # objects that touch each other and the grid border on every side
+    @pytest.mark.parametrize("change", ["shift", "merge"])
+    def test_adjacent_objects(self, change):
+        gt = synth("random-voronoi", (40, 48))
+        if change == "shift":
+            pred = np.zeros_like(gt)
+            pred[:, 1:] = gt[:, :-1]
+        else:
+            first, second = np.unique(gt[gt > 0])[:2]
+            pred = np.where(gt == second, first, gt)
         assert obj_f1(pred, gt) == pytest.approx(metric_obj_f1(pred, gt), abs=1e-9)
         assert obj_dice(pred, gt) == pytest.approx(metric_obj_dice(pred, gt), abs=1e-9)
         assert obj_hd(pred, gt) == pytest.approx(metric_obj_hd(pred, gt), abs=1e-9)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -17,9 +19,10 @@ def run_python(*args):
     )
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal alone used to cost most of the import time of every CLI call
-    proc = run_python("-c", "import sys, flowseg; print('scipy.signal' in sys.modules)")
+# each of these would add a large share to the import time of every CLI call
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.spatial"])
+def test_import_leaves_module_unloaded(module):
+    proc = run_python("-c", f"import sys, flowseg; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
