@@ -1,128 +1,14 @@
-"""Displacement-field clustering for pixel-grid instance segmentation."""
+"""Displacement-field clustering for pixel-grid instance segmentation.
 
-from .checks import (
-    CheckPoint,
-    JacobianReport,
-    ProbeReport,
-    isomorphism_probe,
-    jacobian_check,
-    random_check_point,
-)
-from .cluster import (
-    TransmitGraph,
-    build_tg,
-    cluster_for_masking,
-    connected_components,
-    contract,
-    gcm,
-    mask_diffusivity,
-    recover,
-)
-from .diffusion import diffusion_step, gt_displacement
-from .fileio import (
-    ParseError,
-    read_field,
-    read_map,
-    read_tensors,
-    write_field,
-    write_map,
-    write_tensors,
-)
-from .getconv import (
-    IsoParams,
-    LayerParams,
-    depthwise,
-    diffusivity,
-    diffusivity_jvp,
-    getblock_forward,
-    getblock_forward_jvp,
-    getconv_forward,
-    getconv_forward_jvp,
-    isotropic_attention_forward,
-    isotropic_attention_forward_jvp,
-    load_layer_params,
-    pointwise,
-    query_messages,
-    random_iso_params,
-    random_layer_params,
-    save_layer_params,
-)
-from .grid import (
-    GridAdjacency,
-    GridShape,
-    NeighborhoodSpec,
-    coord_of,
-    disk,
-    grid_adjacency,
-    neighbors,
-    nid,
-    reciprocal_slots,
-    square,
-    stencil_offsets,
-)
-from .metrics import MatchReport, evaluate, match_objects, obj_dice, obj_f1, obj_hd
-from .synth import FIXTURES, synth
+The top level exports the pipeline, the metrics, the layer entry points, the
+checks and file I/O; everything else is imported from its module.
+"""
 
-__all__ = [
-    "CheckPoint",
-    "FIXTURES",
-    "GridAdjacency",
-    "GridShape",
-    "IsoParams",
-    "JacobianReport",
-    "LayerParams",
-    "MatchReport",
-    "NeighborhoodSpec",
-    "ParseError",
-    "ProbeReport",
-    "TransmitGraph",
-    "build_tg",
-    "cluster_for_masking",
-    "connected_components",
-    "contract",
-    "coord_of",
-    "depthwise",
-    "diffusion_step",
-    "diffusivity",
-    "diffusivity_jvp",
-    "disk",
-    "evaluate",
-    "gcm",
-    "getblock_forward",
-    "getblock_forward_jvp",
-    "getconv_forward",
-    "getconv_forward_jvp",
-    "grid_adjacency",
-    "gt_displacement",
-    "isomorphism_probe",
-    "isotropic_attention_forward",
-    "isotropic_attention_forward_jvp",
-    "jacobian_check",
-    "load_layer_params",
-    "mask_diffusivity",
-    "match_objects",
-    "neighbors",
-    "nid",
-    "obj_dice",
-    "obj_f1",
-    "obj_hd",
-    "pointwise",
-    "query_messages",
-    "random_check_point",
-    "random_iso_params",
-    "random_layer_params",
-    "read_field",
-    "read_map",
-    "read_tensors",
-    "reciprocal_slots",
-    "recover",
-    "save_layer_params",
-    "square",
-    "stencil_offsets",
-    "synth",
-    "write_field",
-    "write_map",
-    "write_tensors",
-]
-
-__version__ = "0.1.0"
+from .checks import isomorphism_probe, jacobian_check, random_check_point
+from .cluster import build_tg, contract, gcm
+from .diffusion import gt_displacement
+from .fileio import ParseError, read_field, read_map, write_field, write_map
+from .getconv import getblock_forward, getconv_forward, getconv_forward_jvp, random_layer_params
+from .grid import GridShape, disk, grid_adjacency, square
+from .metrics import evaluate, obj_dice, obj_f1, obj_hd
+from .synth import synth

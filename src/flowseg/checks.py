@@ -39,6 +39,9 @@ _OPS = {
     "isotropic": (isotropic_attention_forward, isotropic_attention_forward_jvp),
 }
 JACOBIAN_OPS = tuple(_OPS)
+CHANNELS = 4  # feature width of every probe and check point
+FD_STEP = 1e-5  # central-difference step of jacobian_check
+JACOBIAN_TOL = 1e-4  # largest relative error jacobian_check passes by default
 
 
 @dataclass
@@ -48,10 +51,7 @@ class ProbeReport:
 
 
 def isomorphism_probe(
-    seed: int,
-    channels: int = 4,
-    u: np.ndarray | None = None,
-    v: np.ndarray | None = None,
+    seed: int, u: np.ndarray | None = None, v: np.ndarray | None = None
 ) -> ProbeReport:
     """Compare both layers on two nodes with permuted but equal neighborhoods.
 
@@ -71,13 +71,13 @@ def isomorphism_probe(
     spec = square(3)
     adj = grid_adjacency(shape, spec)
     if u is None:
-        u = rng.normal(size=channels)
+        u = rng.normal(size=CHANNELS)
     if v is None:
-        v = rng.normal(size=channels)
+        v = rng.normal(size=CHANNELS)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
 
-    feats = np.zeros((shape.n_nodes, channels))
+    feats = np.zeros((shape.n_nodes, CHANNELS))
     node_a = nid((1, 1), shape)
     node_b = nid((1, 5), shape)
     feats[nid((1, 0), shape)] = u
@@ -85,8 +85,8 @@ def isomorphism_probe(
     feats[nid((1, 4), shape)] = v
     feats[nid((1, 6), shape)] = u
 
-    aniso = getconv_forward(feats, adj, random_layer_params(rng, channels, adj.n_slots))
-    iso = isotropic_attention_forward(feats, adj, random_iso_params(rng, channels))
+    aniso = getconv_forward(feats, adj, random_layer_params(rng, CHANNELS, adj.n_slots))
+    iso = isotropic_attention_forward(feats, adj, random_iso_params(rng, CHANNELS))
     return ProbeReport(
         anisotropic_gap=float(np.abs(aniso[node_a] - aniso[node_b]).max()),
         isotropic_gap=float(np.abs(iso[node_a] - iso[node_b]).max()),
@@ -113,7 +113,7 @@ class JacobianReport:
     passed: bool
 
 
-def random_check_point(op: str, seed: int, channels: int = 4) -> CheckPoint:
+def random_check_point(op: str, seed: int) -> CheckPoint:
     """Seeded random input/direction for one of the differentiable forwards."""
     rng = np.random.default_rng(seed)
     spec = square(3)
@@ -125,17 +125,17 @@ def random_check_point(op: str, seed: int, channels: int = 4) -> CheckPoint:
     elif op == "getconv":
         shape = GridShape(4, 4)
         adj = grid_adjacency(shape, spec)
-        x = 0.5 * rng.normal(size=(shape.n_nodes, channels))
-        params = random_layer_params(rng, channels, adj.n_slots)
+        x = 0.5 * rng.normal(size=(shape.n_nodes, CHANNELS))
+        params = random_layer_params(rng, CHANNELS, adj.n_slots)
     elif op == "getblock":
         shape = GridShape(8, 8)
         adj = grid_adjacency(shape, spec)
-        x = 0.5 * rng.normal(size=(shape.h, shape.w, channels))
-        params = random_layer_params(rng, channels, adj.n_slots, kernel=3)
+        x = 0.5 * rng.normal(size=(shape.h, shape.w, CHANNELS))
+        params = random_layer_params(rng, CHANNELS, adj.n_slots, kernel=3)
     elif op == "isotropic":
         shape = GridShape(4, 4)
-        x = 0.5 * rng.normal(size=(shape.n_nodes, channels))
-        params = random_iso_params(rng, channels)
+        x = 0.5 * rng.normal(size=(shape.n_nodes, CHANNELS))
+        params = random_iso_params(rng, CHANNELS)
     else:
         raise ValueError(f"unknown op {op!r}; choose from {JACOBIAN_OPS}")
     return CheckPoint(op, shape, spec, x, rng.normal(size=x.shape), params)
@@ -147,10 +147,8 @@ def _op_args(point: CheckPoint) -> tuple:
     return (grid,) if point.params is None else (grid, point.params)
 
 
-def jacobian_check(
-    point: CheckPoint, tol: float = 1e-4, step: float = 1e-5
-) -> JacobianReport:
-    """Analytic JVP versus central finite differences along ``point.tangent``.
+def jacobian_check(point: CheckPoint, tol: float = JACOBIAN_TOL) -> JacobianReport:
+    """Analytic JVP versus central finite differences (step FD_STEP) along ``point.tangent``.
 
     The relative error is the max-abs discrepancy normalized by the larger of
     the two JVPs' max-abs values (floored at 1e-12 so an exactly-zero pair,
@@ -161,9 +159,9 @@ def jacobian_check(
     forward, jvp = _OPS[point.op]
     args = _op_args(point)
     analytic = jvp(point.x, point.tangent, *args)[1]
-    plus = forward(point.x + step * point.tangent, *args)
-    minus = forward(point.x - step * point.tangent, *args)
-    fd = (plus - minus) / (2.0 * step)
+    plus = forward(point.x + FD_STEP * point.tangent, *args)
+    minus = forward(point.x - FD_STEP * point.tangent, *args)
+    fd = (plus - minus) / (2.0 * FD_STEP)
     if not (np.all(np.isfinite(fd)) and np.all(np.isfinite(analytic))):
         return JacobianReport(point.op, float("inf"), tol, False)
     num = float(np.abs(analytic - fd).max())

@@ -13,12 +13,14 @@ import argparse
 import json
 import sys
 
-from .checks import JACOBIAN_OPS, isomorphism_probe, jacobian_check, random_check_point
+from .checks import JACOBIAN_OPS, JACOBIAN_TOL, isomorphism_probe, jacobian_check, random_check_point
 from .cluster import gcm
 from .diffusion import gt_displacement
 from .fileio import ParseError, read_field, read_map, write_field, write_map
 from .metrics import evaluate
 from .synth import synth
+
+PROBE_GAP = 1e-6  # smallest anisotropic probe gap that counts as visible
 
 
 def _cmd_synth(args) -> int:
@@ -59,11 +61,11 @@ def _cmd_getconv_check(args) -> int:
     for seed in range(args.seeds):
         rep = isomorphism_probe(seed)
         iso_zero += rep.isotropic_gap == 0.0
-        aniso_hits += rep.anisotropic_gap > args.gap_threshold
+        aniso_hits += rep.anisotropic_gap > PROBE_GAP
     need = -(-99 * args.seeds // 100)  # ceil(0.99 * seeds)
     print(f"isomorphism probe: isotropic gap exactly 0 in {iso_zero}/{args.seeds} seeds")
     print(
-        f"isomorphism probe: anisotropic gap > {args.gap_threshold:g} "
+        f"isomorphism probe: anisotropic gap > {PROBE_GAP:g} "
         f"in {aniso_hits}/{args.seeds} seeds (need >= {need})"
     )
     ok &= iso_zero == args.seeds and aniso_hits >= need
@@ -71,13 +73,10 @@ def _cmd_getconv_check(args) -> int:
     for op in JACOBIAN_OPS:
         worst = 0.0
         for i in range(args.points):
-            rep = jacobian_check(
-                random_check_point(op, seed=10_000 + 97 * i), tol=args.tol
-            )
+            rep = jacobian_check(random_check_point(op, seed=10_000 + 97 * i))
             worst = max(worst, rep.max_rel_err)
-        passed = worst < args.tol
-        print(f"jacobian {op}: max relative error {worst:.3e} (tol {args.tol:g})")
-        ok &= passed
+        print(f"jacobian {op}: max relative error {worst:.3e} (tol {JACOBIAN_TOL:g})")
+        ok &= worst < JACOBIAN_TOL
 
     print("getconv-check:", "ok" if ok else "FAILED")
     return 0 if ok else 1
@@ -124,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--points", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--gap-threshold", type=float, default=1e-6)
     p.set_defaults(func=_cmd_getconv_check)
 
     return parser

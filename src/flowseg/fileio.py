@@ -119,7 +119,7 @@ def _read_sidecar(path, what: str) -> dict:
         raise ParseError(f"missing {what} {side}")
     try:
         meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ParseError(f"bad {what}: {exc}") from None
     if not isinstance(meta, dict):
         raise ParseError(f"{what} must be a JSON object")
@@ -131,6 +131,15 @@ def _non_negative_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ParseError(f"{what} must be a non-negative integer, got {value!r}")
     return value
+
+
+def _reshape(flat: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``flat`` in ``shape``; a zero-size shape whose other sides numpy cannot
+    hold, such as (2**40, 2**40, 0), is a ParseError."""
+    try:
+        return flat.reshape(shape)
+    except ValueError:
+        raise ParseError(f"{what} shape {shape} is too large") from None
 
 
 def write_field(path, field: np.ndarray) -> None:
@@ -164,7 +173,7 @@ def read_field(path) -> np.ndarray:
         raise ParseError(
             f"field payload is {len(data)} bytes, expected {need}", len(data)
         )
-    planes = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(2, h, w)
+    planes = _reshape(np.frombuffer(data, dtype="<f8").astype(np.float64), (2, h, w), "field")
     return np.stack([planes[0], planes[1]], axis=-1)
 
 
@@ -196,9 +205,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     if not isinstance(entries, list):
         raise ParseError("tensor manifest's tensors must be a list")
     for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ParseError(f"tensor manifest entry {entry!r} lacks a name")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ParseError(f"tensor manifest entry {entry!r} lacks a string name")
         name = entry["name"]
+        if name in out:
+            raise ParseError(f"tensor {name!r} is named twice")
         shape = entry.get("shape")
         if not isinstance(shape, list):
             raise ParseError(f"tensor {name!r} needs a shape list, got {shape!r}")
@@ -208,5 +219,5 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         if end > len(data):
             raise ParseError(f"tensor {name!r} exceeds payload", len(data))
         arr = np.frombuffer(data[start:end], dtype="<f4").astype(np.float64)
-        out[name] = arr.reshape(shape)
+        out[name] = _reshape(arr, shape, f"tensor {name!r}")
     return out

@@ -25,6 +25,7 @@ from .fileio import ParseError, read_tensors, write_tensors
 from .grid import GridAdjacency, GridShape, NeighborhoodSpec, grid_adjacency, stencil_sum
 
 EXP_CLAMP = 30.0
+PARAM_SCALE = 0.5  # standard deviation of random query, key and kernel weights
 
 
 @dataclass
@@ -62,30 +63,26 @@ class IsoParams:
 
 
 def random_layer_params(
-    rng: np.random.Generator,
-    channels: int,
-    n_slots: int,
-    kernel: int | None = None,
-    scale: float = 0.5,
+    rng: np.random.Generator, channels: int, n_slots: int, kernel: int | None = None
 ) -> LayerParams:
     return LayerParams(
-        w1=scale * rng.normal(size=(channels, channels)),
-        b1=scale * rng.normal(size=channels),
-        w2=scale * rng.normal(size=(channels, n_slots)),
-        b2=scale * rng.normal(size=n_slots),
+        w1=PARAM_SCALE * rng.normal(size=(channels, channels)),
+        b1=PARAM_SCALE * rng.normal(size=channels),
+        w2=PARAM_SCALE * rng.normal(size=(channels, n_slots)),
+        b2=PARAM_SCALE * rng.normal(size=n_slots),
         gamma=1.0 + 0.1 * rng.normal(size=channels),
         beta=0.1 * rng.normal(size=channels),
-        dw=None if kernel is None else scale * rng.normal(size=(channels, kernel, kernel)),
-        pw=None if kernel is None else scale * rng.normal(size=(channels, channels)),
+        dw=None if kernel is None else PARAM_SCALE * rng.normal(size=(channels, kernel, kernel)),
+        pw=None if kernel is None else PARAM_SCALE * rng.normal(size=(channels, channels)),
     )
 
 
-def random_iso_params(rng: np.random.Generator, channels: int, scale: float = 0.5) -> IsoParams:
+def random_iso_params(rng: np.random.Generator, channels: int) -> IsoParams:
     return IsoParams(
-        wq=scale * rng.normal(size=channels),
-        bq=float(scale * rng.normal()),
-        wk=scale * rng.normal(size=channels),
-        bk=float(scale * rng.normal()),
+        wq=PARAM_SCALE * rng.normal(size=channels),
+        bq=float(PARAM_SCALE * rng.normal()),
+        wk=PARAM_SCALE * rng.normal(size=channels),
+        bk=float(PARAM_SCALE * rng.normal()),
         gamma=1.0 + 0.1 * rng.normal(size=channels),
         beta=0.1 * rng.normal(size=channels),
     )
@@ -371,7 +368,7 @@ def load_layer_params(path) -> LayerParams:
     tensors = read_tensors(path)
     missing = [n for n in _LAYER_TENSORS[:6] if n not in tensors]
     if missing:
-        raise ValueError(f"parameter file lacks tensors: {missing}")
+        raise ParseError(f"parameter file lacks tensors: {missing}")
     for name in ("w1", "w2"):
         if tensors[name].ndim != 2:
             raise ParseError(f"tensor {name!r} must be a matrix, got shape {tensors[name].shape}")

@@ -7,6 +7,9 @@ Conventions shared by the whole package:
   then ascending column offset) with the center excluded; the position of
   an offset in that enumeration is its slot index ``c``, which is the same
   for every node (boundary clipping skips offsets but never renumbers)
+* square and disk stencils are point symmetric, so raster order puts the
+  opposite offset ``-offsets[c]`` at slot ``n-1-c``; that is the reciprocal
+  slot ``recip[c]`` of :class:`GridAdjacency`
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ def nid(coord: tuple[int, int], shape: GridShape) -> int:
     return row * shape.w + col
 
 
-def coord_of(node: int, shape: GridShape) -> tuple[int, int]:
-    """Inverse of :func:`nid`."""
-    if not (0 <= node < shape.n_nodes):
-        raise ValueError(f"node id {node} outside [0, {shape.n_nodes})")
-    return divmod(node, shape.w)
-
-
 @lru_cache(maxsize=None)
 def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
     """All stencil offsets in raster order, center excluded.
@@ -94,35 +90,6 @@ def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
         for dc in range(-reach, reach + 1)
         if (dr, dc) != (0, 0) and keep(dr, dc)
     )
-
-
-@lru_cache(maxsize=None)
-def reciprocal_slots(spec: NeighborhoodSpec) -> np.ndarray:
-    """``recip[c]`` is the slot of the opposite offset ``-offsets[c]``.
-
-    Square and disk stencils are point symmetric, so this always exists (and
-    equals n-1-c under raster ordering).
-    """
-    offs = stencil_offsets(spec)
-    index = {off: c for c, off in enumerate(offs)}
-    recip = np.array([index[(-dr, -dc)] for dr, dc in offs], dtype=np.int64)
-    recip.setflags(write=False)
-    return recip
-
-
-def neighbors(node: int, spec: NeighborhoodSpec, shape: GridShape) -> list[tuple[int, int]]:
-    """In-grid neighbors of a node as ``(slot index c, neighbor id)`` pairs.
-
-    Out-of-grid offsets are skipped; the surviving pairs keep the slot index
-    the offset has in :func:`stencil_offsets`.
-    """
-    row, col = coord_of(node, shape)
-    out = []
-    for c, (dr, dc) in enumerate(stencil_offsets(spec)):
-        rr, cc = row + dr, col + dc
-        if 0 <= rr < shape.h and 0 <= cc < shape.w:
-            out.append((c, rr * shape.w + cc))
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,9 +121,11 @@ def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     cc = cols[:, None] + offs[None, :, 1]
     valid = (rr >= 0) & (rr < shape.h) & (cc >= 0) & (cc < shape.w)
     nbr_safe = np.where(valid, rr * shape.w + cc, 0)
-    for arr in (nbr_safe, valid):
+    # raster order of a point-symmetric stencil puts -offsets[c] at slot n-1-c
+    recip = np.arange(len(offs) - 1, -1, -1)
+    for arr in (nbr_safe, valid, recip):
         arr.setflags(write=False)
-    return GridAdjacency(shape, spec, nbr_safe, valid, reciprocal_slots(spec))
+    return GridAdjacency(shape, spec, nbr_safe, valid, recip)
 
 
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:

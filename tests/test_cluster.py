@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import (
-    GridShape,
+from flowseg.cluster import (
     TransmitGraph,
     build_tg,
     cluster_for_masking,
     connected_components,
     contract,
     gcm,
-    grid_adjacency,
-    gt_displacement,
     mask_diffusivity,
     recover,
-    square,
 )
+from flowseg.diffusion import gt_displacement
+from flowseg.grid import GridShape, grid_adjacency, square
 from oracles import components8
 
 

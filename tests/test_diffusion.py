@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import GridShape, diffusion_step, disk, grid_adjacency, gt_displacement, square
-from flowseg.diffusion import _csr_index_dtype
-from flowseg.grid import stencil_offsets
+from flowseg.diffusion import _csr_index_dtype, diffusion_step, gt_displacement
+from flowseg.grid import GridShape, disk, grid_adjacency, square, stencil_offsets
 from oracles import gt_displacement_naive, random_label_map
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowseg import (
+from flowseg.fileio import (
     ParseError,
     read_field,
     read_map,
@@ -132,6 +132,27 @@ class TestFieldFiles:
         with pytest.raises(ValueError):
             write_field(tmp_path / "f.df", np.zeros((3, 3)))
 
+    def test_empty_field_too_large_to_shape(self, tmp_path):
+        # 0 payload bytes match h * w = 0, but numpy cannot shape (2, 2**62, 0)
+        path = tmp_path / "f.df"
+        path.write_bytes(b"")
+        (tmp_path / "f.df.json").write_text(
+            json.dumps({"h": 2**62, "w": 0, "planes": 2, "dtype": "f64le"})
+        )
+        with pytest.raises(ParseError, match="too large"):
+            read_field(path)
+
+    # not UTF-8, nested deeper than the JSON decoder recurses, more digits than int() takes
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe", b"[" * 100_000, b"1" * 5000], ids=["utf8", "depth", "digits"]
+    )
+    def test_undecodable_sidecar(self, tmp_path, text):
+        path = tmp_path / "f.df"
+        path.write_bytes(b"")
+        (tmp_path / "f.df.json").write_bytes(text)
+        with pytest.raises(ParseError, match="bad field sidecar"):
+            read_field(path)
+
 
 class TestTensorFiles:
     def test_round_trip(self, tmp_path):
@@ -183,3 +204,120 @@ class TestTensorFiles:
         (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="'b'"):
             read_tensors(path)
+
+    @pytest.mark.parametrize("name", [["b"], {"b": 1}, 7, None])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        path, manifest = self._two_tensors(tmp_path)
+        manifest["tensors"][1]["name"] = name
+        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="string name"):
+            read_tensors(path)
+
+    def test_empty_tensor_too_large_to_shape(self, tmp_path):
+        # needs 0 payload bytes, but numpy cannot shape (2**40, 2**40, 0)
+        path, manifest = self._two_tensors(tmp_path)
+        manifest["tensors"][1]["shape"] = [2**40, 2**40, 0]
+        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="'b' shape .* too large"):
+            read_tensors(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path, manifest = self._two_tensors(tmp_path)
+        manifest["tensors"][1]["name"] = "a"
+        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="'a' is named twice"):
+            read_tensors(path)
+
+
+# Any payload plus any sidecar gives an array or a ParseError, never another
+# exception. A sidecar is mostly a well-formed dict whose values are mostly
+# plausible, so that every check in a reader is reached, not just the first.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["", "a", "é"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("abhw"), inner),
+    max_leaves=6,
+)
+
+
+def mostly(plausible, other=json_values):
+    """``plausible`` seven times in eight, else ``other``."""
+    return st.sampled_from([plausible] * 7 + [other]).flatmap(lambda strategy: strategy)
+
+
+# 2**62 with a 0 beside it is a zero-size shape numpy cannot hold, and an
+# empty payload is the one that matches it
+sizes = mostly(
+    st.sampled_from([0, 1, 2, 2**62]), st.sampled_from([2**64, -1, 1.5, "2", True]) | json_values
+)
+payloads = st.just(b"") | st.binary(max_size=80)
+field_sidecars = st.fixed_dictionaries(
+    {"h": sizes, "w": sizes, "planes": mostly(st.just(2)), "dtype": mostly(st.just("f64le"))}
+)
+tensor_entries = st.fixed_dictionaries(
+    {
+        "name": mostly(st.sampled_from("ab"), st.sampled_from([["a"], {"a": 1}, 7]) | json_values),
+        "shape": mostly(st.lists(sizes, max_size=3)),
+        "offset": mostly(st.sampled_from([0, 4, 8])),
+    }
+)
+tensor_manifests = st.fixed_dictionaries(
+    {
+        "byte_order": mostly(st.just("little")),
+        "dtype": mostly(st.just("f32")),
+        "tensors": mostly(st.lists(tensor_entries, max_size=3)),
+    }
+)
+# a P5 header of plausible and implausible tokens, then any payload
+map_tokens = st.sampled_from(
+    ["P5", "P2", "0", "1", "2", "255", "256", "65535", "65536", "-1", "x", "#c\n"]
+)
+map_files = st.binary(max_size=40) | st.builds(
+    lambda tokens, sep, payload: " ".join(tokens).encode() + sep + payload,
+    st.lists(map_tokens, max_size=5).map(lambda t: ["P5", *t]),
+    st.sampled_from([b" ", b"\n", b""]),
+    st.binary(max_size=40),
+)
+
+
+def sidecars(shaped):
+    """Sidecar bytes: mostly a shaped dict, else any JSON, any bytes, or no file (None)."""
+    anything = json_values.map(lambda m: json.dumps(m).encode())
+    return mostly(
+        shaped.map(lambda m: json.dumps(m).encode()), anything | st.binary(max_size=16) | st.none()
+    )
+
+
+def read_or_parse_error(reader, path, payload, sidecar):
+    """What ``reader`` returns for these files, or None where it raises ParseError."""
+    path.write_bytes(payload)
+    side = path.with_name(path.name + ".json")
+    side.unlink(missing_ok=True)
+    if sidecar is not None:
+        side.write_bytes(sidecar)
+    try:
+        return reader(path)
+    except ParseError:
+        return None
+
+
+class TestReaderFuzz:
+    @given(map_files)
+    @settings(max_examples=100, deadline=None)
+    def test_read_map(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        out = read_or_parse_error(read_map, path, data, None)
+        assert out is None or (out.dtype == np.int64 and out.ndim == 2)
+
+    @given(payloads, sidecars(field_sidecars))
+    @settings(max_examples=100, deadline=None)
+    def test_read_field(self, tmp_path_factory, payload, sidecar):
+        path = tmp_path_factory.getbasetemp() / "fuzz.df"
+        out = read_or_parse_error(read_field, path, payload, sidecar)
+        assert out is None or (out.dtype == np.float64 and out.shape[2:] == (2,))
+
+    @given(payloads, sidecars(tensor_manifests))
+    @settings(max_examples=200, deadline=None)
+    def test_read_tensors(self, tmp_path_factory, payload, sidecar):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        out = read_or_parse_error(read_tensors, path, payload, sidecar)
+        assert out is None or all(a.dtype == np.float64 for a in out.values())

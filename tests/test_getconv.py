@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import flowseg.getconv
-from flowseg import (
-    GridShape,
+from flowseg.fileio import ParseError, write_tensors
+from flowseg.getconv import (
     IsoParams,
     LayerParams,
-    ParseError,
     depthwise,
     diffusivity,
     diffusivity_jvp,
@@ -14,15 +13,14 @@ from flowseg import (
     getblock_forward_jvp,
     getconv_forward,
     getconv_forward_jvp,
-    grid_adjacency,
     isotropic_attention_forward,
     load_layer_params,
     query_messages,
     random_iso_params,
     random_layer_params,
     save_layer_params,
-    square,
 )
+from flowseg.grid import GridShape, grid_adjacency, square
 from oracles import (
     oracle_depthwise,
     oracle_diffusivity,
@@ -341,11 +339,9 @@ class TestParamFiles:
         assert loaded.dw is None and loaded.pw is None
 
     def test_missing_tensor_rejected(self, tmp_path):
-        from flowseg import write_tensors
-
         path = tmp_path / "bad.bin"
         write_tensors(path, {"w1": np.zeros((2, 2))})
-        with pytest.raises(ValueError, match="lacks tensors"):
+        with pytest.raises(ParseError, match="lacks tensors"):
             load_layer_params(path)
 
     @pytest.mark.parametrize(

@@ -3,25 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import (
+from flowseg.grid import (
     GridShape,
-    coord_of,
     disk,
     grid_adjacency,
-    neighbors,
     nid,
-    reciprocal_slots,
     square,
     stencil_offsets,
+    stencil_sum,
 )
-from flowseg.grid import stencil_sum
-from oracles import oracle_aggregate, offsets_disk, offsets_square
+from oracles import offsets_disk, offsets_of, offsets_square, oracle_aggregate
 
 small_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: GridShape(*t))
 specs = st.one_of(
     st.integers(0, 3).map(lambda i: square(2 * i + 1)),
     st.integers(1, 5).map(disk),
 )
+
+
+def brute_force_neighbors(node, spec, shape):
+    """In-grid ``(slot, neighbor id)`` pairs of a node, from the oracle's offsets."""
+    row, col = divmod(node, shape.w)
+    return [
+        (c, (row + dr) * shape.w + col + dc)
+        for c, (dr, dc) in enumerate(offsets_of(spec))
+        if 0 <= row + dr < shape.h and 0 <= col + dc < shape.w
+    ]
+
+
+def table_neighbors(adj, node):
+    """``(slot, neighbor id)`` pairs of a node's valid slots in the adjacency table."""
+    slots = np.flatnonzero(adj.valid[node])
+    return list(zip(slots.tolist(), adj.nbr_safe[node, slots].tolist()))
 
 
 def test_nid_examples():
@@ -54,7 +67,7 @@ def test_nid_bijection_exhaustive():
     for r in range(shape.h):
         for c in range(shape.w):
             i = nid((r, c), shape)
-            assert coord_of(i, shape) == (r, c)
+            assert divmod(i, shape.w) == (r, c)
             seen.add(i)
     assert seen == set(range(shape.n_nodes))
 
@@ -63,7 +76,7 @@ def test_nid_bijection_exhaustive():
 def test_nid_roundtrip(shape, data):
     r = data.draw(st.integers(0, shape.h - 1))
     c = data.draw(st.integers(0, shape.w - 1))
-    assert coord_of(nid((r, c), shape), shape) == (r, c)
+    assert divmod(nid((r, c), shape), shape.w) == (r, c)
 
 
 def test_stencil_counts():
@@ -84,7 +97,8 @@ def test_stencil_matches_predicate_in_raster_order(spec):
 @given(specs)
 def test_reciprocal_slots_are_opposites(spec):
     offs = stencil_offsets(spec)
-    recip = reciprocal_slots(spec)
+    recip = grid_adjacency(GridShape(1, 1), spec).recip
+    assert not recip.flags.writeable
     for c, (dr, dc) in enumerate(offs):
         assert offs[recip[c]] == (-dr, -dc)
         assert recip[c] == len(offs) - 1 - c
@@ -92,29 +106,31 @@ def test_reciprocal_slots_are_opposites(spec):
 
 def test_neighbors_interior_full_stencil():
     shape = GridShape(5, 5)
-    got = neighbors(nid((2, 2), shape), square(3), shape)
-    assert [c for c, _ in got] == list(range(8))
-    assert [j for _, j in got] == [6, 7, 8, 11, 13, 16, 17, 18]
+    adj = grid_adjacency(shape, square(3))
+    i = nid((2, 2), shape)
+    assert adj.valid[i].all()
+    assert adj.nbr_safe[i].tolist() == [6, 7, 8, 11, 13, 16, 17, 18]
 
 
 def test_neighbors_corner_keeps_slot_indices():
     # surviving offsets at (0, 0) are (0,1), (1,0), (1,1): slots 4, 6, 7
-    shape = GridShape(4, 4)
-    got = neighbors(0, square(3), shape)
-    assert got == [(4, 1), (6, 4), (7, 5)]
+    adj = grid_adjacency(GridShape(4, 4), square(3))
+    assert table_neighbors(adj, 0) == [(4, 1), (6, 4), (7, 5)]
+    assert adj.nbr_safe[0].tolist() == [0, 0, 0, 0, 1, 0, 4, 5]
 
 
 def test_disk_interior_neighbor_count():
     shape = GridShape(64, 96)
-    assert len(neighbors(nid((32, 48), shape), disk(4), shape)) == 48
+    assert grid_adjacency(shape, disk(4)).valid[nid((32, 48), shape)].sum() == 48
 
 
 @given(small_shapes, specs)
 @settings(max_examples=40)
 def test_neighbor_symmetry(shape, spec):
+    adj = grid_adjacency(shape, spec)
     for i in range(shape.n_nodes):
-        for _, j in neighbors(i, spec, shape):
-            assert i in [t for _, t in neighbors(j, spec, shape)]
+        for _, j in table_neighbors(adj, i):
+            assert i in [t for _, t in table_neighbors(adj, j)]
 
 
 @given(small_shapes, specs)
@@ -122,10 +138,11 @@ def test_neighbor_symmetry(shape, spec):
 def test_index_stability(shape, spec):
     # the slot of a given offset never depends on the node
     offs = stencil_offsets(spec)
+    adj = grid_adjacency(shape, spec)
     for i in range(shape.n_nodes):
-        ri, ci = coord_of(i, shape)
-        for c, j in neighbors(i, spec, shape):
-            rj, cj = coord_of(j, shape)
+        ri, ci = divmod(i, shape.w)
+        for c, j in table_neighbors(adj, i):
+            rj, cj = divmod(j, shape.w)
             assert offs[c] == (rj - ri, cj - ci)
 
 
@@ -135,13 +152,10 @@ def test_adjacency_table_matches_neighbors(shape, spec):
     adj = grid_adjacency(shape, spec)
     assert adj.n_slots == len(stencil_offsets(spec))
     for i in range(shape.n_nodes):
-        expected = dict(neighbors(i, spec, shape))
+        expected = dict(brute_force_neighbors(i, spec, shape))
         for c in range(adj.n_slots):
-            if adj.valid[i, c]:
-                assert adj.nbr_safe[i, c] == expected[c]
-            else:
-                assert adj.nbr_safe[i, c] == 0
-                assert c not in expected
+            assert adj.valid[i, c] == (c in expected)
+            assert adj.nbr_safe[i, c] == expected.get(c, 0)
 
 
 def test_adjacency_reciprocity():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg import evaluate, match_objects, obj_dice, obj_f1, obj_hd, synth
+from flowseg.metrics import evaluate, match_objects, obj_dice, obj_f1, obj_hd
+from flowseg.synth import synth
 from oracles import metric_obj_dice, metric_obj_f1, metric_obj_hd, random_instance_pair
 
 

@@ -1,11 +1,15 @@
-"""The package as a user meets it: import cost and the demo scripts."""
+"""The package as a user meets it: import cost and the names its callers read."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import flowseg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,14 +31,24 @@ def test_import_leaves_module_unloaded(module):
     assert proc.stdout.strip() == "False"
 
 
-def test_layer_probe_script_runs():
-    proc = run_python(str(ROOT / "scripts" / "layer_probe.py"), "--seeds", "2", "--points", "2")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+def test_top_level_has_every_name_the_benchmark_and_the_contract_read():
+    used = set()
+    for path in [*(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]:
+        used |= set(re.findall(r"\bfs\.(\w+)", path.read_text()))
+    for node in ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "flowseg":
+            used |= {alias.name for alias in node.names}
+    # perfbench/tracing.py reaches each function it times as fs.<module>.<function>
+    for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED":
+            wrapped = ast.literal_eval(node.value)
+            used |= {f"{module}.{fn}" for module, fns in wrapped.items() for fn in fns}
+    assert {"gcm", "GridShape", "isomorphism_probe", "cluster.recover"} <= used
 
+    def found(dotted):
+        obj = flowseg
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        return obj is not None
 
-def test_roundtrip_demo_script_runs(tmp_path):
-    proc = run_python(
-        str(ROOT / "scripts" / "roundtrip_demo.py"), "--iters", "8", "--outdir", str(tmp_path)
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert any(tmp_path.iterdir())
+    assert sorted(name for name in used if not found(name)) == []
