@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .grid import GridAdjacency, GridShape, disk, stencil_offsets, stencil_sum
+from .grid import _csr_index_dtype, _slot_csr
 
 
 def diffusion_step(
@@ -30,8 +30,6 @@ def diffusion_step(
     n = adj.shape.n_nodes
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
-    # out-of-grid slots gather node 0 with weight 0, so one inf anywhere would
-    # spread NaN to nodes that are not its neighbors
     if z.size and not np.isfinite([z.min(), z.max()]).all():
         raise ValueError("features must be finite")
     if s.shape != (n, adj.n_slots):
@@ -40,8 +38,7 @@ def diffusion_step(
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if np.any(s < 0):
         raise ValueError("diffusivity must be non-negative")
-    s = np.where(adj.valid, s, 0.0)
-    sums = s.sum(axis=1)
+    sums = np.where(adj.valid, s, 0.0).sum(axis=1)
     ok = (np.abs(sums - 1.0) <= 1e-6) | (tau * sums <= 1.0 + 1e-12)
     if not np.all(ok):
         bad = int(np.flatnonzero(~ok)[0])
@@ -52,41 +49,26 @@ def diffusion_step(
     return (1.0 - tau) * z + tau * stencil_sum(s, z, adj)
 
 
-def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
-    """Index dtype for a CSR matrix with at most ``n_slots`` entries per row.
-
-    int32 while every row pointer, at most ``n_nodes * n_slots``, stays below
-    2**31; int64 beyond, so large grids never wrap around.
-    """
-    return np.int32 if n_nodes * n_slots < 2**31 else np.int64
-
-
-def _same_label_operator(lab: np.ndarray, radius: int) -> sparse.csr_array:
-    """0/1 CSR matrix linking each labeled pixel to its same-label disk neighbors.
-
-    Row i holds the neighbors of pixel i in raster slot order, which is
-    ascending node-id order, so the rows are sorted and a product sums each
-    row's terms in slot order. Background rows are empty.
-    """
+def _same_label_operator(lab: np.ndarray, radius: int):
+    """0/1 CSR matrix linking each labeled pixel to its same-label disk
+    neighbors in slot order; background rows are empty."""
     h, w = lab.shape
     n = h * w
-    offsets = stencil_offsets(disk(radius))
-    # out-of-grid slots read label 0, which never matches a kept (positive) row
-    padded = np.pad(lab, radius)
-    same = np.empty((h, w, len(offsets)), dtype=bool)
-    for c, (dr, dc) in enumerate(offsets):
-        shifted = padded[radius + dr : radius + dr + h, radius + dc : radius + dc + w]
-        np.equal(shifted, lab, out=same[..., c])
-    same[lab == 0] = False
-    same = same.reshape(n, len(offsets))
+    offs = np.array(stencil_offsets(disk(radius))).reshape(-1, 2)
+    side = 2 * radius + 1
+    # window (i, j) is the side x side square centred on pixel (i, j); out-of-grid
+    # offsets read label 0, which never matches a kept (positive) row
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(lab, radius), (side, side))
+    same = np.equal(windows, lab[:, :, None, None], order="C").reshape(n, side * side)
+    same = np.take(same, (offs + radius) @ [side, 1], axis=1)
+    same[lab.ravel() == 0] = False
 
-    itype = _csr_index_dtype(n, len(offsets))
-    delta = np.array([dr * w + dc for dr, dc in offsets], dtype=itype)
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(same.sum(axis=1), out=indptr[1:])
-    indices = (np.arange(n, dtype=itype)[:, None] + delta)[same]
-    data = np.ones(indices.size, dtype=np.float64)
-    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+    itype = _csr_index_dtype(n, len(offs))
+    delta = (offs[:, 0] * w + offs[:, 1]).astype(itype)
+    # neither the padded map nor the column table (a temporary the builder
+    # frees) is alive when the operator's data is allocated
+    del windows, offs
+    return _slot_csr(same, np.arange(n, dtype=itype)[:, None] + delta)
 
 
 def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.ndarray:
@@ -118,8 +100,10 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
         raise ValueError("iters must be >= 0")
 
     shape = GridShape(*lab.shape)
+    # offsets longer than the grid's diagonal never land in it
+    radius = max(1, min(radius, int(np.ceil(np.hypot(shape.h - 1, shape.w - 1)))))
     op = _same_label_operator(lab, radius)
-    count = np.diff(op.indptr).astype(np.float64)
+    count = op.sum(axis=1)
     movable = count > 0
     denom = np.maximum(count, 1.0)
 

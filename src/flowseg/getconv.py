@@ -114,10 +114,10 @@ def _require_finite(x, what):
 def _edge_weights(e, de, adj):
     """``exp(min(e, EXP_CLAMP))`` on in-grid slots and 0 elsewhere, plus the
     derivative along ``de`` when given, which is exactly 0 on the clamp."""
-    s = np.where(adj.valid, np.exp(np.minimum(e, EXP_CLAMP)), 0.0)
+    s = np.exp(np.minimum(e, EXP_CLAMP), out=np.zeros_like(e), where=adj.valid)
     if de is None:
         return s, None
-    return s, np.where(adj.valid & (e < EXP_CLAMP), s * de, 0.0)
+    return s, np.multiply(s, de, out=np.zeros_like(e), where=adj.valid & (e < EXP_CLAMP))
 
 
 def _check_queries(queries, adj):

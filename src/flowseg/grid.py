@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,9 @@ class GridAdjacency:
     """Vectorized stencil adjacency for one (shape, spec) pair.
 
     ``nbr_safe[i, c]`` is the id of node i's neighbor at slot c where
-    ``valid[i, c]``, and 0 where that offset leaves the grid, so it can be
-    used for gathers (mask with ``valid``). For a valid slot with
-    j = nbr_safe[i, c] it holds that ``nbr_safe[j, recip[c]] == i``.
+    ``valid[i, c]``, and 0 where that offset leaves the grid; masked with
+    ``valid`` it is the column table of :func:`stencil_sum`'s CSR operator.
+    For a valid slot with j = nbr_safe[i, c], ``nbr_safe[j, recip[c]] == i``.
     """
 
     shape: GridShape
@@ -128,11 +129,35 @@ def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     return GridAdjacency(shape, spec, nbr_safe, valid, recip)
 
 
+def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
+    """Index dtype for a CSR matrix with at most ``n_slots`` entries per row.
+
+    int32 while every row pointer, at most ``n_nodes * n_slots``, stays below
+    2**31; int64 beyond, so large grids never wrap around.
+    """
+    return np.int32 if n_nodes * n_slots < 2**31 else np.int64
+
+
+def _slot_csr(keep: np.ndarray, cols: np.ndarray, weights=None) -> sparse.csr_array:
+    """(N, N) CSR matrix with ``weights[i, c]`` (1 without weights) at row i,
+    column ``cols[i, c]`` for each slot c with ``keep[i, c]``, all (N, n_slots).
+
+    Rows list their entries in slot order, so a product sums each row from zero
+    in slot order. The data is allocated after the indices, so a column table
+    passed as a temporary is freed first.
+    """
+    n, n_slots = keep.shape
+    itype = _csr_index_dtype(n, n_slots)
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    indices = cols[keep].astype(itype, copy=False)
+    del cols
+    data = np.ones(indices.size) if weights is None else weights[keep]
+    return sparse.csr_array((data, indices, indptr), shape=(n, n))
+
+
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:
-    """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
-    weights and (N, C) features, added in slot order from zero. Out-of-grid
-    slots gather node 0, so their weights must be 0."""
-    acc = np.zeros_like(feats)
-    for c in range(adj.n_slots):
-        acc += weights[:, c, None] * feats[adj.nbr_safe[:, c]]
-    return acc
+    """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` over the in-grid
+    slots c, for (N, n_slots) weights and (N, C) features: one CSR product that
+    sums each row from zero in slot order. Out-of-grid weights are ignored."""
+    return _slot_csr(adj.valid, adj.nbr_safe, weights) @ feats

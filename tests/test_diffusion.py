@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowseg.diffusion import _csr_index_dtype, diffusion_step, gt_displacement
-from flowseg.grid import GridShape, disk, grid_adjacency, square, stencil_offsets
+import flowseg.diffusion
+from flowseg.diffusion import diffusion_step, gt_displacement
+from flowseg.grid import GridShape, _csr_index_dtype, disk, grid_adjacency, square, stencil_offsets
 from oracles import gt_displacement_naive, random_label_map
 
 
@@ -154,6 +155,18 @@ class TestGtDisplacement:
         assert _csr_index_dtype(limit + 1, slots) is np.int64
         assert _csr_index_dtype(2**31, 1) is np.int64
         assert _csr_index_dtype(2**31 - 1, 1) is np.int32
+
+    def test_radius_beyond_the_grid_diagonal_changes_nothing(self, monkeypatch):
+        # no offset longer than ceil(hypot(8, 10)) = 13 lands in a 9x11 grid,
+        # so a larger disk must never be enumerated
+        def bounded(spec):
+            assert spec.size <= 13, f"enumerated {spec}"
+            return stencil_offsets(spec)
+
+        labels = random_label_map(np.random.default_rng(6), 9, 11)
+        want = gt_displacement(labels, radius=13, iters=8)
+        monkeypatch.setattr(flowseg.diffusion, "stencil_offsets", bounded)
+        np.testing.assert_array_equal(gt_displacement(labels, radius=10**6, iters=8), want)
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(3)

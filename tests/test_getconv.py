@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from flowseg.getconv import (
     random_layer_params,
     save_layer_params,
 )
-from flowseg.grid import GridShape, grid_adjacency, square
+from flowseg.grid import GridShape, grid_adjacency, square, stencil_sum
 from oracles import (
     oracle_depthwise,
     oracle_diffusivity,
@@ -384,3 +386,16 @@ def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
     getconv_forward_jvp(z, z, adj, random_layer_params(rng, 3, 8))
     grid = z.reshape(4, 4, 3)
     getblock_forward_jvp(grid, grid, square(3), random_layer_params(rng, 3, 8, kernel=3))
+
+
+def test_a_rolled_neighbour_table_changes_the_aggregate():
+    # every neighbourhood sum must read the adjacency it is handed, not a
+    # pattern cached by shape and stencil
+    rng = np.random.default_rng(21)
+    adj = grid_adjacency(GridShape(6, 7), square(3))
+    wrong = dataclasses.replace(adj, nbr_safe=np.roll(adj.nbr_safe, 1, axis=1))
+    z = rng.normal(size=(42, 3))
+    weights = np.where(adj.valid, rng.random(adj.valid.shape), 0.0)
+    assert not np.array_equal(stencil_sum(weights, z, wrong), stencil_sum(weights, z, adj))
+    params = random_layer_params(rng, 3, adj.n_slots)
+    assert not np.array_equal(getconv_forward(z, wrong, params), getconv_forward(z, adj, params))

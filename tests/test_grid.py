@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg.grid import (
@@ -168,6 +168,7 @@ def test_adjacency_reciprocity():
 
 
 @given(small_shapes, specs, st.integers(0, 2**32 - 1))
+@example(GridShape(1, 1), square(1), 0)  # zero slots: every row pointer is 0
 @settings(max_examples=30)
 def test_stencil_sum_matches_brute_force_aggregate(shape, spec, seed):
     rng = np.random.default_rng(seed)
