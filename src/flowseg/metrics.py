@@ -19,9 +19,17 @@ background). Conventions, declared once and used by every metric:
 * boundary pixels are foreground pixels with at least one 4-neighbor outside
   their object (out-of-grid counts as outside); distances are Euclidean
 
-Every public metric extracts each map's objects and their overlap matrix
-once. Boundaries come from one pass over each map, and the Hausdorff distance
-is exact: squared distances of integer pixel coordinates need no rounding.
+Maps must hold non-negative integer ids. A public metric extracts each map's
+objects and their overlap matrix once, and ``evaluate`` extracts them once for
+all four of its calls. Boundaries come from one pass over each map, and the
+Hausdorff distance is exact: squared distances of integer pixel coordinates
+need no rounding. Before the dense product, each boundary keeps only the points
+whose distance to the centre ``c`` of the other object's bounding ball lies
+within ``2 r`` of the smallest or the largest such distance (``r`` is that
+ball's radius plus 1 px of slack). No other point can be a nearest neighbour or
+attain a directed maximum (proof at ``_prune``), so the result is unchanged.
+Only a ball more than twice as wide as the other's can lose points, so only
+such an object is pruned.
 """
 
 from __future__ import annotations
@@ -46,9 +54,13 @@ def _extract(m: np.ndarray) -> _ObjectSet:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"instance map must be 2-D, got shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"instance map must be integer, got dtype {a.dtype}")
     uniq, first, inverse, counts = np.unique(
         a.ravel(), return_index=True, return_inverse=True, return_counts=True
     )
+    if uniq.size and uniq[0] < 0:
+        raise ValueError("instance ids must be >= 0")
     fg = uniq > 0
     order = np.argsort(first[fg], kind="stable")
     rank = np.full(len(uniq), -1, dtype=np.int64)
@@ -87,9 +99,9 @@ class MatchReport:
     pred_areas: np.ndarray = field(repr=False)
 
 
-def match_objects(pred: np.ndarray, gt: np.ndarray) -> MatchReport:
+def match_objects(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> MatchReport:
     """Detection match of every ground-truth object (module docstring rule)."""
-    g, p, overlap = _pair(pred, gt)
+    g, p, overlap = _paired or _pair(pred, gt)
     cand = np.where(2 * overlap > g.areas[:, None], overlap, 0)
     # a leading zero row takes the argmax of a prediction that covers no GT
     best = np.vstack([np.zeros((1, p.count), cand.dtype), cand]).argmax(axis=0) - 1
@@ -109,10 +121,10 @@ def match_objects(pred: np.ndarray, gt: np.ndarray) -> MatchReport:
     )
 
 
-def obj_f1(pred: np.ndarray, gt: np.ndarray) -> float:
+def obj_f1(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Object detection F1 under the strict-majority overlap rule; two maps
     with no objects at all agree vacuously (1.0)."""
-    rep = match_objects(pred, gt)
+    rep = match_objects(pred, gt, _paired=_paired)
     if not rep.gt_ids and not rep.pred_ids:
         return 1.0
     return 2.0 * rep.tp / (2.0 * rep.tp + rep.fp + rep.fn)
@@ -124,9 +136,9 @@ def _best_counterparts(overlap: np.ndarray) -> np.ndarray:
     return np.where(overlap.max(axis=1) > 0, overlap.argmax(axis=1), -1)
 
 
-def obj_dice(pred: np.ndarray, gt: np.ndarray) -> float:
+def obj_dice(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Area-weighted symmetric object Dice; unmatched objects contribute 0."""
-    g, p, overlap = _pair(pred, gt)
+    g, p, overlap = _paired or _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 1.0
     if g.count == 0 or p.count == 0:
@@ -153,9 +165,10 @@ def obj_dice(pred: np.ndarray, gt: np.ndarray) -> float:
     )
 
 
-def _boundary_points(objs: _ObjectSet) -> list[np.ndarray]:
+def _boundaries(objs: _ObjectSet) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Per object, the (m, 2) coordinates of its boundary pixels (4-neighbor
-    rule) in raster order, from one pass over the whole index map."""
+    rule) in raster order, from one pass over the whole index map, with the
+    centre and radius of a ball holding them all (radius plus 1 px of slack)."""
     idx = np.pad(objs.index, 1, constant_values=-1)
     core = idx[1:-1, 1:-1]
     inner = (
@@ -168,20 +181,58 @@ def _boundary_points(objs: _ObjectSet) -> list[np.ndarray]:
     owner = core[rows, cols]
     order = np.argsort(owner, kind="stable")
     pts = np.stack([rows[order], cols[order]], axis=1).astype(np.float64)
-    return np.split(pts, np.cumsum(np.bincount(owner, minlength=objs.count))[:-1])
+    # every object has a boundary pixel, so no run of points is empty
+    counts = np.bincount(owner, minlength=objs.count)
+    starts = np.cumsum(counts) - counts
+    centre = (np.minimum.reduceat(pts, starts) + np.maximum.reduceat(pts, starts)) / 2
+    off = pts - centre.repeat(counts, axis=0)
+    radius = np.maximum.reduceat(np.hypot(*off.T), starts) + 1.0
+    return list(zip(np.split(pts, starts[1:]), centre, radius))
 
 
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+def _prune(pts: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
+    """The points that can attain the directed Hausdorff distance to, or be a
+    nearest neighbour of some point of, a set inside the ball (centre, radius).
+
+    Every point q of that set lies within ``radius`` of ``centre``, so for each
+    point p, with e = |p - centre|: e - radius <= d(p, set) <= e + radius. Let
+    the points' e range over [lo, hi].
+    * A point with e < hi - 2 radius has d(p, set) < hi - radius, which the
+      point at hi reaches or exceeds: it attains no directed maximum.
+    * A point with e > lo + 2 radius lies farther than lo + radius from every
+      q, and the point at lo lies within lo + radius of each: it is no q's
+      nearest neighbour, not even in a tie.
+    Both inequalities are strict and the radius carries 1 px of slack, so
+    rounding in the float distances never drops a point that is needed.
+    """
+    e = np.hypot(*(pts - centre).T)
+    return pts[(e <= e.min() + 2 * radius) | (e >= e.max() - 2 * radius)]
+
+
+def _hausdorff(a: tuple, b: tuple) -> float:
+    """Symmetric Hausdorff distance of two ``_boundaries`` entries.
+
+    The pruned points of a keep every maximiser of d(., b) and, for every
+    point of b, a nearest neighbour; likewise for b. So both directed maxima
+    over the pruned points equal those over all points.
+    """
+    (pa, ca, ra), (pb, cb, rb) = a, b
+    # a's distances to cb spread over at most 2 ra, and a prune drops a point
+    # only where they spread over more than 4 rb: skip prunes that drop nothing
+    if ra > 2 * rb:
+        pa = _prune(pa, cb, rb)
+    if rb > 2 * ra:
+        pb = _prune(pb, ca, ra)
     # squared distances of integer coordinates are exact in float64, so the
     # square root of the extreme equals the Euclidean distance bit for bit
-    d2 = a @ b.T
+    d2 = pa @ pb.T
     d2 *= -2.0
-    d2 += (a * a).sum(axis=1)[:, None]
-    d2 += (b * b).sum(axis=1)
+    d2 += (pa * pa).sum(axis=1)[:, None]
+    d2 += (pb * pb).sum(axis=1)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
-def obj_hd(pred: np.ndarray, gt: np.ndarray) -> float:
+def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Area-weighted symmetric object Hausdorff distance over boundary pixels.
 
     Objects pair by largest overlap; an object with no overlapping counterpart
@@ -189,20 +240,20 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray) -> float:
     maps empty of objects gives 0.0; exactly one empty gives the image
     diagonal.
     """
-    g, p, overlap = _pair(pred, gt)
+    g, p, overlap = _paired or _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 0.0
     h, w = g.index.shape
     if g.count == 0 or p.count == 0:
         return float(np.hypot(h - 1, w - 1))
-    gt_pts = _boundary_points(g)
-    pred_pts = _boundary_points(p)
+    gt_bounds = _boundaries(g)
+    pred_bounds = _boundaries(p)
     cache: dict[tuple[int, int], float] = {}
 
     def hd(i, j):
         key = (i, j)
         if key not in cache:
-            cache[key] = _hausdorff(gt_pts[i], pred_pts[j])
+            cache[key] = _hausdorff(gt_bounds[i], pred_bounds[j])
         return cache[key]
 
     def one_side(n_self, areas, total, ov, pair_hd, n_other):
@@ -230,7 +281,8 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
     detection match, or null), ``gt_area``, and ``overlap`` (pixels shared
     with that match).
     """
-    rep = match_objects(pred, gt)
+    paired = _pair(pred, gt)
+    rep = match_objects(pred, gt, _paired=paired)
     # a match covers a strict majority of its object, so no other prediction
     # overlaps that object as much: the shared pixels are the row's maximum
     per_object = [
@@ -243,8 +295,8 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
         for gid, pid, area, row in zip(rep.gt_ids, rep.matched_pred, rep.gt_areas, rep.overlaps)
     ]
     return {
-        "obj_f1": obj_f1(pred, gt),
-        "obj_dice": obj_dice(pred, gt),
-        "obj_hd": obj_hd(pred, gt),
+        "obj_f1": obj_f1(pred, gt, _paired=paired),
+        "obj_dice": obj_dice(pred, gt, _paired=paired),
+        "obj_hd": obj_hd(pred, gt, _paired=paired),
         "per_object": per_object,
     }

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowseg import metrics
 from flowseg.metrics import evaluate, match_objects, obj_dice, obj_f1, obj_hd
 from flowseg.synth import synth
 from oracles import metric_obj_dice, metric_obj_f1, metric_obj_hd, random_instance_pair
@@ -132,6 +133,99 @@ class TestObjHd:
             assert obj_hd(pred, gt) == pytest.approx(obj_hd(gt, pred), abs=1e-12)
 
 
+def dense_hausdorff(a, b):
+    """The unpruned product over all boundary points: the reference that the
+    pruned distance must equal bit for bit."""
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += (a * a).sum(axis=1)[:, None]
+    d2 += (b * b).sum(axis=1)
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+
+
+def unpruned_obj_hd(pred, gt):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_hausdorff", lambda a, b: dense_hausdorff(a[0], b[0]))
+        return obj_hd(pred, gt)
+
+
+def weak_pruning_maps():
+    """Shapes where the bounding balls prune little or sit far off centre."""
+    ring = np.zeros((40, 40), dtype=np.int64)
+    ring[1:39, 1:39] = 1
+    ring[3:37, 3:37] = 0
+    for k, (r, c) in enumerate([(6, 6), (6, 30), (30, 6), (30, 30), (18, 18)]):
+        ring[r : r + 3, c : c + 3] = k + 2
+    inside = ring.copy()
+    inside[ring == 1] = 0
+    inside[2:38, 2:38] = np.where(inside[2:38, 2:38] == 0, 9, inside[2:38, 2:38])
+    lattice = np.zeros((40, 40), dtype=np.int64)
+    lattice[1::5, 1::5] = np.arange(1, 65).reshape(8, 8)
+    lattice[2::5, 1::5] = lattice[1::5, 1::5]
+    pixels = np.zeros((40, 40), dtype=np.int64)
+    cells = np.random.default_rng(3).choice(1600, 60, replace=False)
+    pixels.ravel()[cells] = np.arange(1, 61)
+    border = np.zeros((40, 40), dtype=np.int64)
+    border[0, :] = 1
+    border[:, 39] = 2
+    border[20:, :4] = 3
+    border[39, 10:30] = 4
+    border[0:2, 0:2] = 5
+    return {
+        "ring": ring,
+        "inside": inside,
+        "whole": np.ones((40, 40), dtype=np.int64),
+        "lattice": lattice,
+        "pixels": pixels,
+        "border": border,
+    }
+
+
+class TestPrunedHausdorff:
+    def test_equals_the_dense_product_on_random_pairs(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            h, w = (int(v) for v in rng.integers(6, 40, 2))
+            pred, gt = random_instance_pair(rng, h, w)
+            assert obj_hd(pred, gt) == unpruned_obj_hd(pred, gt), seed
+            assert obj_hd(gt, pred) == unpruned_obj_hd(gt, pred), seed
+
+    @pytest.mark.parametrize("pred_name", sorted(weak_pruning_maps()))
+    def test_equals_the_dense_product_on_weak_pruning_shapes(self, pred_name):
+        maps = weak_pruning_maps()
+        for gt in maps.values():
+            assert obj_hd(maps[pred_name], gt) == unpruned_obj_hd(maps[pred_name], gt)
+
+    def test_the_maximiser_can_sit_almost_2r_inside_the_farthest_point(self):
+        # B is two points 20 apart (centre c = (0, 10), radius 10 + 1). A's
+        # point (23, 10) lies 23 from c, 12 less than A's farthest point
+        # (0, 45), yet it is the one farthest from B: sqrt(23² + 10²) > 45 - 20.
+        # A's point (0, 0) widens A's ball past twice B's, so A is pruned.
+        gt = np.zeros((24, 46), dtype=np.int64)
+        pred = np.zeros_like(gt)
+        gt[[0, 0, 23, 0], [0, 10, 10, 45]] = 1
+        pred[[0, 0], [0, 20]] = 1
+        assert obj_hd(pred, gt) == unpruned_obj_hd(pred, gt) == np.sqrt(23**2 + 10**2)
+
+    @given(
+        st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1, max_size=40),
+        st.tuples(st.floats(-80, 80), st.floats(-80, 80)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_enclosing_ball_keeps_the_exact_distance(self, a, b, shift):
+        # the bound holds for any ball that holds the points, not only for the
+        # bounding-box centre the metric uses
+        def entry(pts, centre):
+            return pts, centre, np.sqrt(((pts - centre) ** 2).sum(axis=1)).max() + 1.0
+
+        a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        box = lambda p: (p.min(axis=0) + p.max(axis=0)) / 2
+        want = dense_hausdorff(a, b)
+        assert metrics._hausdorff(entry(a, box(a)), entry(b, box(b))) == want
+        assert metrics._hausdorff(entry(a, box(a) + shift), entry(b, np.array(shift))) == want
+
+
 class TestInvariances:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -201,3 +295,70 @@ class TestEvaluate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             obj_f1(np.zeros((3, 3), dtype=int), np.zeros((4, 3), dtype=int))
+
+    def test_one_extraction_per_call(self, monkeypatch):
+        calls = []
+        pair = metrics._pair
+        monkeypatch.setattr(metrics, "_pair", lambda *a: calls.append(1) or pair(*a))
+        pred, gt = random_instance_pair(np.random.default_rng(0), 20, 20)
+        evaluate(pred, gt)
+        assert len(calls) == 1
+        evaluate(gt, pred)
+        assert len(calls) == 2
+
+    def test_calls_every_public_metric_by_name(self, monkeypatch):
+        called = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("match_objects", "obj_f1", "obj_dice", "obj_hd"):
+            monkeypatch.setattr(metrics, name, recorded(name, getattr(metrics, name)))
+        gt = two_object_map()
+        evaluate(np.where(gt == 3, 5, 0), gt)
+        assert set(called) == {"match_objects", "obj_f1", "obj_dice", "obj_hd"}
+
+    def test_scores_equal_separate_calls(self):
+        maps = weak_pruning_maps()
+        cases = [random_instance_pair(np.random.default_rng(s), 24, 30) for s in range(20)]
+        cases += [(maps["whole"], maps["lattice"]), (maps["ring"], maps["pixels"])]
+        cases += [(np.zeros((5, 5), dtype=int), two_object_map()[:5, :5])]
+        for pred, gt in cases:
+            record = evaluate(pred, gt)
+            assert (record["obj_f1"], record["obj_dice"], record["obj_hd"]) == (
+                obj_f1(pred, gt),
+                obj_dice(pred, gt),
+                obj_hd(pred, gt),
+            )
+
+
+class TestRejectsMapsThatAreNotIds:
+    @pytest.mark.parametrize("metric", [evaluate, match_objects, obj_f1, obj_dice, obj_hd])
+    def test_all_nan_prediction(self, metric):
+        gt = two_object_map()
+        with pytest.raises(ValueError, match="integer"):
+            metric(np.full(gt.shape, np.nan), gt)
+
+    @pytest.mark.parametrize("metric", [evaluate, match_objects, obj_f1, obj_dice, obj_hd])
+    def test_one_nan_pixel(self, metric):
+        gt = two_object_map()
+        pred = gt.astype(np.float64)
+        pred[3, 3] = np.nan
+        with pytest.raises(ValueError, match="integer"):
+            metric(pred, gt)
+
+    @pytest.mark.parametrize("metric", [evaluate, match_objects, obj_f1, obj_dice, obj_hd])
+    def test_fractional_ids(self, metric):
+        gt = two_object_map()
+        with pytest.raises(ValueError, match="integer"):
+            metric(gt * 0.5, gt)
+
+    @pytest.mark.parametrize("metric", [evaluate, match_objects, obj_f1, obj_dice, obj_hd])
+    def test_negative_ids(self, metric):
+        gt = two_object_map()
+        with pytest.raises(ValueError, match=">= 0"):
+            metric(gt, -gt)
