@@ -6,6 +6,10 @@ drain to zero, label 8-connected components of the surviving messages
 (``scipy.ndimage.label``), then propagate those seed labels back out against
 the direction of the edges: each node adopts the label of the node its
 out-edge points to. Every stage is whole-array numpy or scipy code.
+
+:func:`cluster_for_masking` runs the same pipeline on a patch-averaged field
+with unit energy; its ids are the ``cls_mask`` that
+:func:`flowseg.getconv.getconv_forward` confines messages to.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridAdjacency, GridShape
+from .grid import GridShape
 
 
 @dataclass
@@ -46,6 +50,9 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
         raise ValueError(f"energy shape {e.shape} does not match field {f.shape[:2]}")
     if not np.all(np.isfinite(f)):
         raise ValueError("displacement field must be finite")
+    # a NaN energy would compare unequal to 0 and pass for foreground
+    if e.size and not np.isfinite([e.min(), e.max()]).all():
+        raise ValueError("energy must be finite")
     shape = GridShape(*e.shape)
     rows, cols = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
     tr = _round_half_away(rows + f[..., 0].ravel())
@@ -140,17 +147,3 @@ def cluster_for_masking(
     ds = f.reshape(h // patch, patch, w // patch, patch, 2).mean(axis=(1, 3)) / patch
     ones = np.ones((h // patch, w // patch), dtype=np.int64)
     return gcm(ds, ones, t0, t1)
-
-
-def mask_diffusivity(
-    diffusivity: np.ndarray, cluster_ids: np.ndarray, adj: GridAdjacency
-) -> np.ndarray:
-    """Zero edge weights between nodes of different clusters; idempotent."""
-    s = np.asarray(diffusivity, dtype=np.float64)
-    if s.shape != (adj.shape.n_nodes, adj.n_slots):
-        raise ValueError(f"diffusivity must be {(adj.shape.n_nodes, adj.n_slots)}, got {s.shape}")
-    cls = np.asarray(cluster_ids).ravel()
-    if cls.shape[0] != adj.shape.n_nodes:
-        raise ValueError("cluster ids must cover all nodes")
-    keep = adj.valid & (cls[adj.nbr_safe] == cls[:, None])
-    return np.where(keep, s, 0.0)

@@ -1,52 +1,10 @@
-"""Discrete diffusion on grid graphs and ground-truth displacement synthesis."""
+"""Ground-truth displacement synthesis: same-label diffusion of pixel coordinates."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridAdjacency, GridShape, disk, stencil_offsets, stencil_sum
-from .grid import _csr_index_dtype, _slot_csr
-
-
-def diffusion_step(
-    feats: np.ndarray,
-    diffusivity: np.ndarray,
-    tau: float,
-    adj: GridAdjacency,
-) -> np.ndarray:
-    """One Jacobi diffusion update ``z <- (1 - tau) * z + tau * sum_j s_ij z_j``.
-
-    feats: (N, C) node features, read as a frozen snapshot (simultaneous
-        update; the result never mixes old and new values).
-    diffusivity: (N, n_slots) edge weights aligned with ``adj``'s stencil
-        slots; entries on out-of-grid slots are ignored.
-    tau: step size in [0, 1].
-
-    Each node's weights must either sum to 1 (tolerance 1e-6) or satisfy
-    ``tau * sum <= 1``; negative weights and non-finite features are rejected.
-    """
-    z = np.asarray(feats, dtype=np.float64)
-    s = np.asarray(diffusivity, dtype=np.float64)
-    n = adj.shape.n_nodes
-    if z.ndim != 2 or z.shape[0] != n:
-        raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
-    if z.size and not np.isfinite([z.min(), z.max()]).all():
-        raise ValueError("features must be finite")
-    if s.shape != (n, adj.n_slots):
-        raise ValueError(f"diffusivity must be {(n, adj.n_slots)}, got {s.shape}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if np.any(s < 0):
-        raise ValueError("diffusivity must be non-negative")
-    sums = np.where(adj.valid, s, 0.0).sum(axis=1)
-    ok = (np.abs(sums - 1.0) <= 1e-6) | (tau * sums <= 1.0 + 1e-12)
-    if not np.all(ok):
-        bad = int(np.flatnonzero(~ok)[0])
-        raise ValueError(
-            f"node {bad}: neighborhood diffusivity sums to {sums[bad]}, "
-            "expected 1 (tol 1e-6) or tau * sum <= 1"
-        )
-    return (1.0 - tau) * z + tau * stencil_sum(s, z, adj)
+from .grid import GridShape, _csr_index_dtype, _slot_csr, disk, stencil_offsets
 
 
 def _same_label_operator(lab: np.ndarray, radius: int):

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import mask_diffusivity
-from .fileio import ParseError, read_tensors, write_tensors
 from .grid import GridAdjacency, GridShape, NeighborhoodSpec, grid_adjacency, stencil_sum
 
 EXP_CLAMP = 30.0
@@ -154,6 +152,20 @@ def diffusivity_jvp(queries, tangent, adj):
     )
 
 
+def mask_diffusivity(
+    diffusivity: np.ndarray, cluster_ids: np.ndarray, adj: GridAdjacency
+) -> np.ndarray:
+    """Zero edge weights between nodes of different clusters; idempotent."""
+    s = np.asarray(diffusivity, dtype=np.float64)
+    if s.shape != (adj.shape.n_nodes, adj.n_slots):
+        raise ValueError(f"diffusivity must be {(adj.shape.n_nodes, adj.n_slots)}, got {s.shape}")
+    cls = np.asarray(cluster_ids).ravel()
+    if cls.shape[0] != adj.shape.n_nodes:
+        raise ValueError("cluster ids must cover all nodes")
+    keep = adj.valid & (cls[adj.nbr_safe] == cls[:, None])
+    return np.where(keep, s, 0.0)
+
+
 def _group_rows(n_nodes, groups):
     if groups is None:
         return [slice(None)]
@@ -244,11 +256,6 @@ def getconv_forward_jvp(
     return _update(z, z, s, adj, params, norm_groups, dres=dz, dfeats=dz, ds=ds)
 
 
-def _odd_kernels(shape, channels):
-    """Whether ``shape`` is (channels, k, k) with k odd, so each kernel has a center."""
-    return len(shape) == 3 and shape == (channels, shape[2], shape[2]) and shape[2] % 2 == 1
-
-
 def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Per-channel k x k cross-correlation, zero padding, stride 1.
 
@@ -261,9 +268,10 @@ def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     if img.ndim != 3:
         raise ValueError(f"grid features must be (h, w, C), got {img.shape}")
     h, w, cdim = img.shape
-    if not _odd_kernels(ker.shape, cdim):
+    k = ker.shape[2] if ker.ndim == 3 else 0
+    if ker.shape != (cdim, k, k) or k % 2 == 0:
         raise ValueError(f"kernels must be ({cdim}, k, k) with k odd, got {ker.shape}")
-    half = ker.shape[2] // 2
+    half = k // 2
     padded = np.pad(img, ((half, half), (half, half), (0, 0)))
     out = np.zeros_like(img)
     for a, b in np.ndindex(ker.shape[1:]):
@@ -343,45 +351,3 @@ def isotropic_attention_forward_jvp(feats, tangent, adj, params):
     dz = np.asarray(tangent, dtype=np.float64)
     s, ds = _iso_weights(z, dz, adj, params)
     return _update(z, z, s, adj, params, dres=dz, dfeats=dz, ds=ds)
-
-
-_LAYER_TENSORS = ("w1", "b1", "w2", "b2", "gamma", "beta", "dw", "pw")
-
-
-def save_layer_params(path, params: LayerParams) -> None:
-    """Write layer weights as a manifest-addressed float32 tensor file."""
-    tensors = {
-        name: getattr(params, name)
-        for name in _LAYER_TENSORS
-        if getattr(params, name) is not None
-    }
-    write_tensors(path, tensors)
-
-
-def load_layer_params(path) -> LayerParams:
-    """Read layer weights written by :func:`save_layer_params`.
-
-    Raises ParseError unless, with C the side of ``w1`` and n the columns of
-    ``w2``, the shapes are ``w1``/``pw`` (C, C), ``w2`` (C, n), ``b1``,
-    ``gamma``, ``beta`` (C,), ``b2`` (n,) and ``dw`` (C, k, k) with k odd.
-    """
-    tensors = read_tensors(path)
-    missing = [n for n in _LAYER_TENSORS[:6] if n not in tensors]
-    if missing:
-        raise ParseError(f"parameter file lacks tensors: {missing}")
-    for name in ("w1", "w2"):
-        if tensors[name].ndim != 2:
-            raise ParseError(f"tensor {name!r} must be a matrix, got shape {tensors[name].shape}")
-    c, n = tensors["w1"].shape[0], tensors["w2"].shape[1]
-    want = {
-        "w1": (c, c), "b1": (c,), "w2": (c, n), "b2": (n,),
-        "gamma": (c,), "beta": (c,), "pw": (c, c),
-    }
-    for name, shape in want.items():
-        if name in tensors and tensors[name].shape != shape:
-            raise ParseError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-    if "dw" in tensors and not _odd_kernels(tensors["dw"].shape, c):
-        raise ParseError(f"tensor 'dw' has shape {tensors['dw'].shape}, expected ({c}, k, k), k odd")
-    return LayerParams(
-        **{name: tensors[name] for name in _LAYER_TENSORS if name in tensors}
-    )

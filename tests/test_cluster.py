@@ -10,10 +10,10 @@ from flowseg.cluster import (
     connected_components,
     contract,
     gcm,
-    mask_diffusivity,
     recover,
 )
 from flowseg.diffusion import gt_displacement
+from flowseg.getconv import mask_diffusivity
 from flowseg.grid import GridShape, grid_adjacency, square
 from oracles import components8
 
@@ -52,6 +52,15 @@ class TestBuildTg:
         field[1, 1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             build_tg(field, np.ones((3, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf, -np.inf]])
+    def test_rejects_non_finite_energy(self, bad):
+        # NaN and inf compare unequal to 0, so unchecked they pass for
+        # foreground and gcm returns an all-1 map
+        e = np.ones((6, 6))
+        e.flat[: len(bad)] = bad
+        with pytest.raises(ValueError, match="energy must be finite"):
+            gcm(np.zeros((6, 6, 2)), e)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):

@@ -1,94 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import flowseg.diffusion
-from flowseg.diffusion import diffusion_step, gt_displacement
-from flowseg.grid import GridShape, _csr_index_dtype, disk, grid_adjacency, square, stencil_offsets
+from flowseg.diffusion import gt_displacement
+from flowseg.grid import _csr_index_dtype, disk, grid_adjacency, stencil_offsets
 from oracles import gt_displacement_naive, random_label_map
-
-
-def _uniform_diffusivity(adj):
-    counts = adj.valid.sum(axis=1, keepdims=True)
-    return adj.valid / counts
-
-
-class TestDiffusionStep:
-    def test_uniform_features_are_fixed_point(self):
-        adj = grid_adjacency(GridShape(4, 5), square(3))
-        z = np.full((20, 3), 2.5)
-        out = diffusion_step(z, _uniform_diffusivity(adj), 0.7, adj)
-        np.testing.assert_allclose(out, z, atol=1e-12)
-
-    def test_tau_zero_is_identity(self):
-        adj = grid_adjacency(GridShape(3, 3), square(3))
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(9, 2))
-        s = rng.uniform(0.0, 0.1, size=(9, adj.n_slots))
-        np.testing.assert_array_equal(diffusion_step(z, s, 0.0, adj), z)
-
-    def test_three_node_line(self):
-        # 1x3 grid, uniform weights, tau=1: middle averages the ends, the
-        # ends copy the middle
-        shape = GridShape(1, 3)
-        adj = grid_adjacency(shape, square(3))
-        z = np.array([[0.0], [3.0], [0.0]])
-        out = diffusion_step(z, _uniform_diffusivity(adj), 1.0, adj)
-        np.testing.assert_allclose(out[:, 0], [3.0, 0.0, 3.0])
-
-    def test_update_is_simultaneous(self):
-        # an in-place raster sweep would give node 2 the new value of node 1
-        shape = GridShape(1, 3)
-        adj = grid_adjacency(shape, square(3))
-        z = np.array([[6.0], [0.0], [0.0]])
-        out = diffusion_step(z, _uniform_diffusivity(adj), 1.0, adj)
-        np.testing.assert_allclose(out[:, 0], [0.0, 3.0, 0.0])
-
-    def test_rejects_negative_diffusivity(self):
-        adj = grid_adjacency(GridShape(2, 2), square(3))
-        s = _uniform_diffusivity(adj)
-        s[0, 4] = -s[0, 4]
-        with pytest.raises(ValueError, match="non-negative"):
-            diffusion_step(np.ones((4, 1)), s, 0.5, adj)
-
-    def test_rejects_bad_weight_sums(self):
-        adj = grid_adjacency(GridShape(2, 2), square(3))
-        s = 3.0 * _uniform_diffusivity(adj)  # sums to 3
-        with pytest.raises(ValueError, match="sums to"):
-            diffusion_step(np.ones((4, 1)), s, 0.9, adj)
-        # but acceptable when tau * sum <= 1
-        out = diffusion_step(np.ones((4, 1)), s, 0.2, adj)
-        assert np.all(np.isfinite(out))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_features(self, bad):
-        # one inf at node 0 used to turn 8 of the 9 outputs to NaN, five of
-        # them at non-neighbors, through the zero-weight gathers of
-        # out-of-grid slots
-        adj = grid_adjacency(GridShape(3, 3), square(3))
-        z = np.zeros((9, 1))
-        z[0, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            diffusion_step(z, _uniform_diffusivity(adj), 0.5, adj)
-
-    def test_rejects_tau_out_of_range(self):
-        adj = grid_adjacency(GridShape(2, 2), square(3))
-        s = _uniform_diffusivity(adj)
-        for tau in (-0.1, 1.5):
-            with pytest.raises(ValueError, match="tau"):
-                diffusion_step(np.ones((4, 1)), s, tau, adj)
-
-    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
-    @settings(max_examples=30)
-    def test_convex_combination_bounds(self, seed, tau):
-        rng = np.random.default_rng(seed)
-        adj = grid_adjacency(GridShape(3, 4), square(3))
-        z = rng.normal(size=(12, 2))
-        s = _uniform_diffusivity(adj)
-        out = diffusion_step(z, s, tau, adj)
-        assert out.min() >= z.min() - 1e-12
-        assert out.max() <= z.max() + 1e-12
 
 
 class TestGtDisplacement:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import flowseg.getconv
-from flowseg.fileio import ParseError, write_tensors
 from flowseg.getconv import (
     IsoParams,
     LayerParams,
@@ -16,11 +15,9 @@ from flowseg.getconv import (
     getconv_forward,
     getconv_forward_jvp,
     isotropic_attention_forward,
-    load_layer_params,
     query_messages,
     random_iso_params,
     random_layer_params,
-    save_layer_params,
 )
 from flowseg.grid import GridShape, grid_adjacency, square, stencil_sum
 from oracles import (
@@ -320,56 +317,6 @@ class TestIsotropicForward:
             oracle_isotropic(z, 4, 4, square(3), params),
             atol=1e-10,
         )
-
-
-class TestParamFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        params = random_layer_params(rng, 4, 8, kernel=3)
-        path = tmp_path / "layer.bin"
-        save_layer_params(path, params)
-        loaded = load_layer_params(path)
-        for name in ("w1", "b1", "w2", "b2", "gamma", "beta", "dw", "pw"):
-            want = np.asarray(getattr(params, name), dtype=np.float32).astype(np.float64)
-            np.testing.assert_array_equal(getattr(loaded, name), want)
-
-    def test_round_trip_without_kernels(self, tmp_path):
-        params = random_layer_params(np.random.default_rng(18), 3, 8)
-        path = tmp_path / "layer.bin"
-        save_layer_params(path, params)
-        loaded = load_layer_params(path)
-        assert loaded.dw is None and loaded.pw is None
-
-    def test_missing_tensor_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        write_tensors(path, {"w1": np.zeros((2, 2))})
-        with pytest.raises(ParseError, match="lacks tensors"):
-            load_layer_params(path)
-
-    @pytest.mark.parametrize(
-        "name, shape",
-        [
-            ("w1", (4, 3)),
-            ("w1", (4,)),
-            ("b1", (3,)),
-            ("w2", (3, 8)),
-            ("w2", (8,)),
-            ("b2", (7,)),
-            ("gamma", (7,)),
-            ("beta", (4, 1)),
-            ("pw", (4, 5)),
-            ("dw", (4, 2, 2)),
-            ("dw", (4, 3, 5)),
-            ("dw", (3, 3, 3)),
-        ],
-    )
-    def test_mismatched_shapes_rejected(self, tmp_path, name, shape):
-        params = random_layer_params(np.random.default_rng(19), 4, 8, kernel=3)
-        setattr(params, name, np.zeros(shape))
-        path = tmp_path / "layer.bin"
-        save_layer_params(path, params)
-        with pytest.raises(ParseError, match=name):
-            load_layer_params(path)
 
 
 def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
