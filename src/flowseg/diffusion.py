@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
-from .grid import GridShape, _csr_index_dtype, _slot_csr, disk, stencil_offsets
+from .grid import GridShape, _csr_index_dtype, disk, stencil_offsets
 
 
 def _same_label_operator(lab: np.ndarray, radius: int):
@@ -22,11 +23,11 @@ def _same_label_operator(lab: np.ndarray, radius: int):
     same[lab.ravel() == 0] = False
 
     itype = _csr_index_dtype(n, len(offs))
-    delta = (offs[:, 0] * w + offs[:, 1]).astype(itype)
-    # neither the padded map nor the column table (a temporary the builder
-    # frees) is alive when the operator's data is allocated
-    del windows, offs
-    return _slot_csr(same, np.arange(n, dtype=itype)[:, None] + delta)
+    indptr = np.r_[0, np.cumsum(same.sum(axis=1))].astype(itype)
+    # the padded map and the full column table are freed before the data is made
+    del windows
+    indices = (np.arange(n, dtype=itype)[:, None] + (offs @ [w, 1]).astype(itype))[same]
+    return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
 
 
 def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.ndarray:

@@ -88,8 +88,10 @@ def random_iso_params(rng: np.random.Generator, channels: int) -> IsoParams:
 
 def _query(z, dz, params):
     """Query perceptron and, when ``dz`` is given, its derivative along ``dz``."""
-    pre = z @ params.w1 + params.b1
-    q = np.maximum(pre, 0.0) @ params.w2 + params.b2
+    pre = z @ params.w1
+    pre += params.b1
+    q = np.maximum(pre, 0.0) @ params.w2
+    q += params.b2
     if dz is None:
         return q, None
     return q, np.where(pre > 0, dz @ params.w1, 0.0) @ params.w2
@@ -104,27 +106,42 @@ def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
 
 
 def _require_finite(x, what):
+    """``x`` as float64, if finite: an inf tangent times a 0.0 weight is NaN."""
+    x = np.asarray(x, dtype=np.float64)
     # min and max carry any NaN or inf without a temporary the size of x
     if not np.isfinite([x.min(), x.max()]).all():
         raise ValueError(f"{what} must be finite")
+    return x
+
+
+def _pair_sum(x, adj):
+    # x[i, c] + x[j, recip[c]] for j = nbr_safe[i, c], with no second temporary
+    out = x[adj.nbr_safe, adj.recip]
+    out += x
+    return out
 
 
 def _edge_weights(e, de, adj):
-    """``exp(min(e, EXP_CLAMP))`` on in-grid slots and 0 elsewhere, plus the
-    derivative along ``de`` when given, which is exactly 0 on the clamp."""
-    s = np.exp(np.minimum(e, EXP_CLAMP), out=np.zeros_like(e), where=adj.valid)
-    if de is None:
-        return s, None
-    return s, np.multiply(s, de, out=np.zeros_like(e), where=adj.valid & (e < EXP_CLAMP))
+    """In place: ``e`` to ``exp(min(e, EXP_CLAMP))``, and ``de``, when given, to
+    the derivative along it, 0 on the clamp; both exactly 0.0 off the grid."""
+    np.minimum(e, EXP_CLAMP, out=e)
+    if de is not None:
+        # zeroed before the product, so that no clamped slot can overflow
+        de[e == EXP_CLAMP] = 0.0
+        de[~adj.valid] = 0.0
+    np.exp(e, out=e)
+    e[~adj.valid] = 0.0
+    if de is not None:
+        de *= e
+    return e, de
 
 
 def _check_queries(queries, adj):
-    q = np.asarray(queries, dtype=np.float64)
+    q = np.asarray(queries)
     if q.shape != (adj.shape.n_nodes, adj.n_slots):
         raise ValueError(f"queries must be {(adj.shape.n_nodes, adj.n_slots)}, got {q.shape}")
     # an inf query would come out as the finite clamped weight exp(EXP_CLAMP)
-    _require_finite(q, "queries")
-    return q
+    return _require_finite(q, "queries")
 
 
 def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
@@ -136,7 +153,7 @@ def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     queries are rejected.
     """
     q = _check_queries(queries, adj)
-    return _edge_weights(q + q[adj.nbr_safe, adj.recip], None, adj)[0]
+    return _edge_weights(_pair_sum(q, adj), None, adj)[0]
 
 
 def diffusivity_jvp(queries, tangent, adj):
@@ -146,10 +163,8 @@ def diffusivity_jvp(queries, tangent, adj):
     where the clamp is active.
     """
     q = _check_queries(queries, adj)
-    dq = np.asarray(tangent, dtype=np.float64)
-    return _edge_weights(
-        q + q[adj.nbr_safe, adj.recip], dq + dq[adj.nbr_safe, adj.recip], adj
-    )
+    dq = _require_finite(tangent, "tangent")
+    return _edge_weights(_pair_sum(q, adj), _pair_sum(dq, adj), adj)
 
 
 def mask_diffusivity(
@@ -180,45 +195,50 @@ def _standardize(x, dx, groups=None):
     no epsilon), and its derivative along ``dx`` when given; a constant channel
     standardizes to exactly 0. With groups, statistics are taken within each
     group of nodes independently."""
-    out = np.zeros_like(x)
-    dout = None if dx is None else np.zeros_like(x)
+    out = np.empty_like(x)
+    dout = None if dx is None else np.empty_like(x)
     for rows in _group_rows(x.shape[0], groups):
         sub = x[rows]
         centered = sub - sub.mean(axis=0)
         std = np.sqrt((centered**2).mean(axis=0))
         pos = std > 0
         safe = np.where(pos, std, 1.0)
-        out[rows] = np.where(pos, centered / safe, 0.0)
         if dx is not None:
             dsub = dx[rows]
             dcentered = dsub - dsub.mean(axis=0)
             dvar = 2.0 * (centered * dcentered).mean(axis=0)
-            dout[rows] = np.where(
-                pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0
-            )
+            dout[rows] = np.where(pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0)
+        centered /= safe
+        centered[:, ~pos] = 0.0
+        out[rows] = centered
     return out, dout
 
 
-def _update(res, feats, s, adj, params, groups=None, dres=None, dfeats=None, ds=None):
-    """``res + BN(sum_j s_ij feats_j) * gamma + beta``, and its derivative
-    along the tangents ``dres``, ``dfeats``, ``ds`` when they are given."""
+def _update(res, feats, weights, adj, params, groups=None, cls_mask=None, dres=None, dfeats=None):
+    """``res + BN(sum_j s_ij feats_j) * gamma + beta`` for ``weights = [s, ds]``
+    masked by ``cls_mask``, and its derivative along ``dres``, ``dfeats``, ``ds``
+    unless ``ds`` is None. The list is emptied, so s and ds are freed early."""
+    s, ds = weights
+    weights.clear()
+    if cls_mask is not None:
+        s, ds = (None if x is None else mask_diffusivity(x, cls_mask, adj) for x in (s, ds))
     agg = stencil_sum(s, feats, adj)
     dagg = None if ds is None else stencil_sum(ds, feats, adj) + stencil_sum(s, dfeats, adj)
+    del s, ds
     y, dy = _standardize(agg, dagg, groups)
     out = res + y * params.gamma + params.beta
     return out, None if dy is None else dres + dy * params.gamma
 
 
 def _check_forward_input(feats, adj):
-    z = np.asarray(feats, dtype=np.float64)
+    z = np.asarray(feats)
     n = adj.shape.n_nodes
     if z.ndim != 2 or z.shape[0] != n:
         raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
     if n < 2:
         raise ValueError("normalization needs at least 2 nodes")
     # one NaN would poison a channel's statistics and standardize it to 0
-    _require_finite(z, "features")
-    return z
+    return _require_finite(z, "features")
 
 
 def getconv_forward(
@@ -239,21 +259,21 @@ def getconv_forward(
         rule and standardize to 0).
     """
     z = _check_forward_input(feats, adj)
-    s = diffusivity(query_messages(z, params), adj)
-    if cls_mask is not None:
-        s = mask_diffusivity(s, cls_mask, adj)
-    return _update(z, z, s, adj, params, norm_groups)[0]
+    return _update(
+        z, z, [diffusivity(query_messages(z, params), adj), None], adj, params, norm_groups,
+        cls_mask,
+    )[0]
 
 
 def getconv_forward_jvp(
     feats, tangent, adj, params, cls_mask=None, norm_groups=None
 ):
     z = _check_forward_input(feats, adj)
-    dz = np.asarray(tangent, dtype=np.float64)
-    s, ds = diffusivity_jvp(*_query(z, dz, params), adj)
-    if cls_mask is not None:
-        s, ds = (mask_diffusivity(x, cls_mask, adj) for x in (s, ds))
-    return _update(z, z, s, adj, params, norm_groups, dres=dz, dfeats=dz, ds=ds)
+    dz = _require_finite(tangent, "tangent")
+    return _update(
+        z, z, list(diffusivity_jvp(*_query(z, dz, params), adj)), adj, params, norm_groups,
+        cls_mask, dres=dz, dfeats=dz,
+    )
 
 
 def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -306,19 +326,19 @@ def getblock_forward(
     """
     grid, z, adj = _check_block_input(grid_feats, spec, params)
     mixed = pointwise(depthwise(grid, params.dw), params.pw).reshape(z.shape)
-    s = diffusivity(query_messages(mixed, params), adj)
-    return _update(z, mixed, s, adj, params)[0].reshape(grid.shape)
+    out = _update(z, mixed, [diffusivity(query_messages(mixed, params), adj), None], adj, params)
+    return out[0].reshape(grid.shape)
 
 
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
     grid, z, adj = _check_block_input(grid_feats, spec, params)
-    dgrid = np.asarray(tangent, dtype=np.float64)
+    dgrid = _require_finite(tangent, "tangent")
     mixed, dmixed = (
         pointwise(depthwise(x, params.dw), params.pw).reshape(z.shape) for x in (grid, dgrid)
     )
-    s, ds = diffusivity_jvp(*_query(mixed, dmixed, params), adj)
     out, dout = _update(
-        z, mixed, s, adj, params, dres=dgrid.reshape(z.shape), dfeats=dmixed, ds=ds
+        z, mixed, list(diffusivity_jvp(*_query(mixed, dmixed, params), adj)), adj, params,
+        dres=dgrid.reshape(z.shape), dfeats=dmixed,
     )
     return out.reshape(grid.shape), dout.reshape(grid.shape)
 
@@ -342,12 +362,10 @@ def isotropic_attention_forward(
     and residual are shared with :func:`getconv_forward`.
     """
     z = _check_forward_input(feats, adj)
-    s, _ = _iso_weights(z, None, adj, params)
-    return _update(z, z, s, adj, params)[0]
+    return _update(z, z, list(_iso_weights(z, None, adj, params)), adj, params)[0]
 
 
 def isotropic_attention_forward_jvp(feats, tangent, adj, params):
     z = _check_forward_input(feats, adj)
-    dz = np.asarray(tangent, dtype=np.float64)
-    s, ds = _iso_weights(z, dz, adj, params)
-    return _update(z, z, s, adj, params, dres=dz, dfeats=dz, ds=ds)
+    dz = _require_finite(tangent, "tangent")
+    return _update(z, z, list(_iso_weights(z, dz, adj, params)), adj, params, dres=dz, dfeats=dz)

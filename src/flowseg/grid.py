@@ -79,18 +79,10 @@ def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
     Square of side k keeps max(|dr|, |dc|) <= (k-1)/2; disk of radius r keeps
     dr^2 + dc^2 <= r^2. The length of the result is the slot count n.
     """
-    if spec.kind == "square":
-        half = (spec.size - 1) // 2
-        reach, keep = half, lambda dr, dc: True
-    else:
-        reach = spec.size
-        keep = lambda dr, dc: dr * dr + dc * dc <= spec.size * spec.size
-    return tuple(
-        (dr, dc)
-        for dr in range(-reach, reach + 1)
-        for dc in range(-reach, reach + 1)
-        if (dr, dc) != (0, 0) and keep(dr, dc)
-    )
+    r = spec.size if spec.kind == "disk" else (spec.size - 1) // 2
+    span = range(-r, r + 1)
+    keep = lambda dr, dc: spec.kind == "square" or dr * dr + dc * dc <= r * r
+    return tuple((dr, dc) for dr in span for dc in span if (dr, dc) != (0, 0) and keep(dr, dc))
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,8 @@ class GridAdjacency:
     """Vectorized stencil adjacency for one (shape, spec) pair.
 
     ``nbr_safe[i, c]`` is the id of node i's neighbor at slot c where
-    ``valid[i, c]``, and 0 where that offset leaves the grid; masked with
-    ``valid`` it is the column table of :func:`stencil_sum`'s CSR operator.
+    ``valid[i, c]``, and 0 where that offset leaves the grid. In the CSR index
+    dtype, it is the column table of :func:`stencil_sum`'s operator, unmasked.
     For a valid slot with j = nbr_safe[i, c], ``nbr_safe[j, recip[c]] == i``.
     """
 
@@ -117,11 +109,15 @@ class GridAdjacency:
 @lru_cache(maxsize=32)
 def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     offs = np.array(stencil_offsets(spec), dtype=np.int64).reshape(-1, 2)
-    rows, cols = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
-    rr = rows[:, None] + offs[None, :, 0]
-    cc = cols[:, None] + offs[None, :, 1]
-    valid = (rr >= 0) & (rr < shape.h) & (cc >= 0) & (cc < shape.w)
-    nbr_safe = np.where(valid, rr * shape.w + cc, 0)
+    n = shape.n_nodes
+    # a slot lands where its row and its column do: two (side, n_slots) tables
+    rr, cc = np.arange(shape.h)[:, None] + offs[:, 0], np.arange(shape.w)[:, None] + offs[:, 1]
+    valid = ((rr >= 0) & (rr < shape.h))[:, None] & ((cc >= 0) & (cc < shape.w))
+    valid = valid.reshape(n, len(offs))
+    # node id plus the offset's id step, zeroed in place off the grid
+    itype = _csr_index_dtype(n, len(offs))
+    nbr_safe = np.arange(n, dtype=itype)[:, None] + (offs @ [shape.w, 1]).astype(itype)
+    np.multiply(nbr_safe, valid, out=nbr_safe)
     # raster order of a point-symmetric stencil puts -offsets[c] at slot n-1-c
     recip = np.arange(len(offs) - 1, -1, -1)
     for arr in (nbr_safe, valid, recip):
@@ -138,26 +134,14 @@ def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
     return np.int32 if n_nodes * n_slots < 2**31 else np.int64
 
 
-def _slot_csr(keep: np.ndarray, cols: np.ndarray, weights=None) -> sparse.csr_array:
-    """(N, N) CSR matrix with ``weights[i, c]`` (1 without weights) at row i,
-    column ``cols[i, c]`` for each slot c with ``keep[i, c]``, all (N, n_slots).
-
-    Rows list their entries in slot order, so a product sums each row from zero
-    in slot order. The data is allocated after the indices, so a column table
-    passed as a temporary is freed first.
-    """
-    n, n_slots = keep.shape
-    itype = _csr_index_dtype(n, n_slots)
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    indices = cols[keep].astype(itype, copy=False)
-    del cols
-    data = np.ones(indices.size) if weights is None else weights[keep]
-    return sparse.csr_array((data, indices, indptr), shape=(n, n))
-
-
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:
-    """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` over the in-grid
-    slots c, for (N, n_slots) weights and (N, C) features: one CSR product that
-    sums each row from zero in slot order. Out-of-grid weights are ignored."""
-    return _slot_csr(adj.valid, adj.nbr_safe, weights) @ feats
+    """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
+    weights, 0 on every off-grid slot, and (N, C) finite features.
+
+    The operator is a CSR view of both whole tables, with no copy: an off-grid
+    slot is an entry at column 0 that adds +0.0 to its row. Each row sums from
+    zero in slot order, so the result is the in-grid sum bit for bit."""
+    n, n_slots = adj.nbr_safe.shape
+    indptr = n_slots * np.arange(n + 1, dtype=adj.nbr_safe.dtype)
+    op = sparse.csr_array((weights.ravel(), adj.nbr_safe.ravel(), indptr), shape=(n, n))
+    return op @ feats

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from flowseg.getconv import (
     getconv_forward,
     getconv_forward_jvp,
     isotropic_attention_forward,
+    isotropic_attention_forward_jvp,
+    mask_diffusivity,
     query_messages,
     random_iso_params,
     random_layer_params,
 )
-from flowseg.grid import GridShape, grid_adjacency, square, stencil_sum
+from flowseg.grid import GridShape, disk, grid_adjacency, square, stencil_sum
 from oracles import (
     oracle_depthwise,
     oracle_diffusivity,
@@ -212,6 +215,41 @@ class TestNonFiniteInput:
             getblock_forward_jvp(z, np.ones_like(z), square(3), params)
 
 
+def _bad_tangent_jvps():
+    """Each JVP with finite inputs and a tangent holding ``bad`` at one entry."""
+    rng = np.random.default_rng(22)
+    adj = grid_adjacency(GridShape(4, 4), square(3))
+    z = rng.normal(size=(16, 3))
+    params = random_layer_params(rng, 3, adj.n_slots, kernel=3)
+    iso = random_iso_params(rng, 3)
+
+    def tangent(bad, shape):
+        t = np.ones(shape)
+        t.flat[0] = bad  # node 0: the column every off-grid slot points at
+        return t
+
+    return {
+        "diffusivity": lambda bad: diffusivity_jvp(
+            query_messages(z, params), tangent(bad, (16, 8)), adj
+        ),
+        "getconv": lambda bad: getconv_forward_jvp(z, tangent(bad, z.shape), adj, params),
+        "getblock": lambda bad: getblock_forward_jvp(
+            z.reshape(4, 4, 3), tangent(bad, (4, 4, 3)), square(3), params
+        ),
+        "isotropic": lambda bad: isotropic_attention_forward_jvp(
+            z, tangent(bad, z.shape), adj, iso
+        ),
+    }
+
+
+@pytest.mark.parametrize("jvp", sorted(_bad_tangent_jvps()))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jvp_rejects_a_non_finite_tangent(jvp, bad):
+    # an off-grid slot's 0.0 weight times an inf at node 0 would be NaN
+    with pytest.raises(ValueError, match="tangent must be finite"):
+        _bad_tangent_jvps()[jvp](bad)
+
+
 class TestGetblockForward:
     def test_neutral_convs_reduce_to_getconv(self):
         rng = np.random.default_rng(11)
@@ -346,3 +384,66 @@ def test_a_rolled_neighbour_table_changes_the_aggregate():
     assert not np.array_equal(stencil_sum(weights, z, wrong), stencil_sum(weights, z, adj))
     params = random_layer_params(rng, 3, adj.n_slots)
     assert not np.array_equal(getconv_forward(z, wrong, params), getconv_forward(z, adj, params))
+
+
+def test_a_wrong_reciprocal_table_changes_the_aggregate():
+    # the weight of edge (i, j) must read j's query at the slot pointing back
+    # at i, as the adjacency it is handed says
+    rng = np.random.default_rng(23)
+    adj = grid_adjacency(GridShape(6, 7), square(3))
+    wrong = dataclasses.replace(adj, recip=np.arange(adj.n_slots))
+    z = rng.normal(size=(42, 3))
+    params = random_layer_params(rng, 3, adj.n_slots)
+    assert not np.array_equal(getconv_forward(z, wrong, params), getconv_forward(z, adj, params))
+
+
+def _weight_producers():
+    """Every producer of (N, n_slots) weights, with exponents far past the clamp."""
+    rng = np.random.default_rng(24)
+    adj = grid_adjacency(GridShape(7, 6), disk(2))
+    z = rng.normal(size=(42, 3))
+    q = 40.0 * rng.normal(size=(42, adj.n_slots))
+    iso = random_iso_params(rng, 3)
+    iso.wq, iso.wk = 60.0 * iso.wq, 60.0 * iso.wk
+    iso_jvp = flowseg.getconv._iso_weights(z, z, adj, iso)
+    s, ds = diffusivity_jvp(q, rng.normal(size=q.shape), adj)
+    weights = {
+        "diffusivity": diffusivity(q, adj),
+        "diffusivity_jvp primal": s,
+        "diffusivity_jvp tangent": ds,
+        "mask_diffusivity": mask_diffusivity(s, np.arange(42) % 3, adj),
+        "isotropic primal": iso_jvp[0],
+        "isotropic tangent": iso_jvp[1],
+    }
+    return adj, weights
+
+
+def test_every_weight_producer_leaves_plus_zero_off_the_grid():
+    # stencil_sum reads off-grid slots as entries at column 0, so their
+    # weights must be exactly +0.0, also where the exponent is clamped
+    adj, weights = _weight_producers()
+    for name, w in weights.items():
+        off = w[~adj.valid]
+        assert off.size and (off == 0.0).all() and not np.signbit(off).any(), name
+        assert np.isfinite(w).all(), name
+
+
+@pytest.mark.parametrize("jvp, bound", [(False, 2.5), (True, 4.5)])
+def test_layer_peak_memory_in_edge_table_units(jvp, bound):
+    # one (N, n_slots) f64 table is the unit: the forward holds the queries
+    # and the edge weights at once, the JVP also their tangents
+    rng = np.random.default_rng(25)
+    adj = grid_adjacency(GridShape(64, 64), disk(5))
+    z = rng.normal(size=(64 * 64, 32))
+    dz = rng.normal(size=z.shape)
+    params = random_layer_params(rng, 32, adj.n_slots)
+    tracemalloc.start()
+    try:
+        if jvp:
+            getconv_forward_jvp(z, dz, adj, params)
+        else:
+            getconv_forward(z, adj, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * z.shape[0] * adj.n_slots * 8

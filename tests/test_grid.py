@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +171,7 @@ def test_adjacency_reciprocity():
 
 @given(small_shapes, specs, st.integers(0, 2**32 - 1))
 @example(GridShape(1, 1), square(1), 0)  # zero slots: every row pointer is 0
+@example(GridShape(3, 4), square(1), 0)  # zero slots on several nodes: all sums are 0
 @settings(max_examples=30)
 def test_stencil_sum_matches_brute_force_aggregate(shape, spec, seed):
     rng = np.random.default_rng(seed)
@@ -179,3 +182,26 @@ def test_stencil_sum_matches_brute_force_aggregate(shape, spec, seed):
         stencil_sum(weights, feats, adj),
         oracle_aggregate(weights, feats, shape.h, shape.w, spec),
     )
+
+
+def test_neighbour_table_is_in_the_csr_index_dtype():
+    # stencil_sum hands nbr_safe to scipy as the CSR column table, uncopied
+    adj = grid_adjacency(GridShape(9, 10), disk(3))
+    assert adj.nbr_safe.dtype == np.int32 and adj.nbr_safe.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "shape, spec", [(GridShape(64, 64), disk(5)), (GridShape(9, 11), disk(40))]
+)
+def test_adjacency_build_peak_is_at_most_twice_what_it_keeps(shape, spec):
+    # the offsets are cached on their own; bypass the table cache so that the
+    # tables are built under the trace
+    stencil_offsets(spec)
+    tracemalloc.start()
+    try:
+        adj = grid_adjacency.__wrapped__(shape, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = adj.nbr_safe.nbytes + adj.valid.nbytes + adj.recip.nbytes
+    assert peak <= 2 * kept
