@@ -123,7 +123,8 @@ def _pair_sum(x, adj):
 
 def _edge_weights(e, de, adj):
     """In place: ``e`` to ``exp(min(e, EXP_CLAMP))``, and ``de``, when given, to
-    the derivative along it, 0 on the clamp; both exactly 0.0 off the grid."""
+    the derivative along it, 0 on the clamp; both exactly +0.0 off the grid, as
+    :func:`stencil_sum` needs."""
     np.minimum(e, EXP_CLAMP, out=e)
     if de is not None:
         # zeroed before the product, so that no clamped slot can overflow
@@ -170,7 +171,8 @@ def diffusivity_jvp(queries, tangent, adj):
 def mask_diffusivity(
     diffusivity: np.ndarray, cluster_ids: np.ndarray, adj: GridAdjacency
 ) -> np.ndarray:
-    """Zero edge weights between nodes of different clusters; idempotent."""
+    """Zero edge weights between nodes of different clusters; idempotent. Every
+    off-grid weight comes out exactly +0.0, as :func:`stencil_sum` needs."""
     s = np.asarray(diffusivity, dtype=np.float64)
     if s.shape != (adj.shape.n_nodes, adj.n_slots):
         raise ValueError(f"diffusivity must be {(adj.shape.n_nodes, adj.n_slots)}, got {s.shape}")
@@ -207,7 +209,9 @@ def _standardize(x, dx, groups=None):
             dsub = dx[rows]
             dcentered = dsub - dsub.mean(axis=0)
             dvar = 2.0 * (centered * dcentered).mean(axis=0)
-            dout[rows] = np.where(pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0)
+            dout[rows] = np.where(
+                pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0
+            )
         centered /= safe
         centered[:, ~pos] = 0.0
         out[rows] = centered

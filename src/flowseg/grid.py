@@ -79,10 +79,18 @@ def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
     Square of side k keeps max(|dr|, |dc|) <= (k-1)/2; disk of radius r keeps
     dr^2 + dc^2 <= r^2. The length of the result is the slot count n.
     """
-    r = spec.size if spec.kind == "disk" else (spec.size - 1) // 2
-    span = range(-r, r + 1)
-    keep = lambda dr, dc: spec.kind == "square" or dr * dr + dc * dc <= r * r
-    return tuple((dr, dc) for dr in span for dc in span if (dr, dc) != (0, 0) and keep(dr, dc))
+    if spec.kind == "square":
+        half = (spec.size - 1) // 2
+        reach, keep = half, lambda dr, dc: True
+    else:
+        reach = spec.size
+        keep = lambda dr, dc: dr * dr + dc * dc <= spec.size * spec.size
+    return tuple(
+        (dr, dc)
+        for dr in range(-reach, reach + 1)
+        for dc in range(-reach, reach + 1)
+        if (dr, dc) != (0, 0) and keep(dr, dc)
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ such an object is pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -233,23 +232,6 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
-def _closest(ball: tuple, balls: tuple, dist) -> int:
-    """``min(range(n), key=dist)`` over the n (centres, radii) ``balls``. Each
-    point of one object lies ``|c_a - c_b| - r_a - r_b`` or more from the other,
-    so candidates are visited by that bound until it exceeds the best distance
-    (the radii's 1 px of slack outweighs rounding). Ties go to the lowest index."""
-    (_, centre, radius), (centres, radii) = ball, balls
-    bound = np.hypot(*(centres - centre).T) - radius - radii
-    best, best_d = -1, np.inf
-    for j in np.argsort(bound, kind="stable").tolist():
-        if bound[j] > best_d:
-            break
-        d = dist(j)
-        if d < best_d or (d == best_d and j < best):
-            best, best_d = j, d
-    return best
-
-
 def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Area-weighted symmetric object Hausdorff distance over boundary pixels.
 
@@ -266,22 +248,28 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return float(np.hypot(h - 1, w - 1))
     gt_bounds = _boundaries(g)
     pred_bounds = _boundaries(p)
-    hd = lru_cache(maxsize=None)(lambda i, j: _hausdorff(gt_bounds[i], pred_bounds[j]))
+    cache: dict[tuple[int, int], float] = {}
 
-    def one_side(areas, ov, pair_hd, own, other):
-        balls = np.array([c for _, c, _ in other]), np.array([r for _, _, r in other])
-        total = areas.sum()
+    def hd(i, j):
+        key = (i, j)
+        if key not in cache:
+            cache[key] = _hausdorff(gt_bounds[i], pred_bounds[j])
+        return cache[key]
+
+    def one_side(n_self, areas, total, ov, pair_hd, n_other):
         acc = 0.0
         best = _best_counterparts(ov)
-        for i in range(len(areas)):
+        for i in range(n_self):
             j = best[i]
             if j < 0:
-                j = _closest(own[i], balls, lambda jj: pair_hd(i, jj))
+                j = min(range(n_other), key=lambda jj: pair_hd(i, jj))
             acc += (areas[i] / total) * pair_hd(i, j)
         return acc
 
-    gt_side = one_side(g.areas, overlap, hd, gt_bounds, pred_bounds)
-    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), pred_bounds, gt_bounds)
+    gt_side = one_side(g.count, g.areas, g.areas.sum(), overlap, hd, p.count)
+    pred_side = one_side(
+        p.count, p.areas, p.areas.sum(), overlap.T, lambda j, i: hd(i, j), g.count
+    )
     return float(0.5 * (gt_side + pred_side))
 
 

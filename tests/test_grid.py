@@ -184,6 +184,20 @@ def test_stencil_sum_matches_brute_force_aggregate(shape, spec, seed):
     )
 
 
+
+def test_stencil_sum_needs_finite_features_at_node_0():
+    # each off-grid slot is a 0.0 weight on node 0's features, so a non-finite
+    # value there reaches every row with an off-grid slot, as 0.0 * inf = NaN
+    shape = GridShape(4, 5)
+    adj = grid_adjacency(shape, square(3))
+    feats = np.ones((shape.n_nodes, 1))
+    feats[0] = np.inf
+    out = stencil_sum(adj.valid.astype(np.float64), feats, adj)[:, 0]
+    border = ~adj.valid.all(axis=1)
+    assert np.isnan(out[border]).all()
+    # an interior row only adds node 0's features where node 0 is its neighbour
+    assert not np.isnan(out[~border]).any()
+
 def test_neighbour_table_is_in_the_csr_index_dtype():
     # stencil_sum hands nbr_safe to scipy as the CSR column table, uncopied
     adj = grid_adjacency(GridShape(9, 10), disk(3))

@@ -226,62 +226,6 @@ class TestPrunedHausdorff:
         assert metrics._hausdorff(entry(a, box(a) + shift), entry(b, np.array(shift))) == want
 
 
-def brute_closest_obj_hd(pred, gt):
-    """obj_hd with the fallback counterpart found over all candidates."""
-    with pytest.MonkeyPatch.context() as mp:
-        brute = lambda ball, balls, dist: min(range(len(balls[1])), key=dist)
-        mp.setattr(metrics, "_closest", brute)
-        return obj_hd(pred, gt)
-
-
-def disjoint_halves(seed, h, w):
-    """A random map in the left half of the ground truth and another in the
-    right half of the prediction: no object overlaps a counterpart."""
-    rng = np.random.default_rng(seed)
-    gt = np.zeros((h, 2 * w), dtype=np.int64)
-    pred = np.zeros_like(gt)
-    gt[:, :w], pred[:, w:] = random_instance_pair(rng, h, w)
-    return pred, gt
-
-
-class TestClosestCounterpart:
-    def test_equals_the_brute_force_minimum_on_disjoint_maps(self):
-        for seed in range(60):
-            pred, gt = disjoint_halves(seed, 12 + seed % 9, 10 + seed % 7)
-            assert obj_hd(pred, gt) == brute_closest_obj_hd(pred, gt), seed
-
-    def test_a_tie_goes_to_the_lowest_index_even_when_visited_last(self):
-        # candidate 1's ball is nearer, so it is visited first; both lie at
-        # distance 20, and min() over the indices picks 0
-        balls = np.array([[0.0, 10.0], [0.0, 5.0]]), np.array([1.0, 1.0])
-        ball = (None, np.array([0.0, 0.0]), 1.0)
-        assert metrics._closest(ball, balls, lambda j: 20.0) == 0
-        # a mirrored pair of squares ties on real boundaries as well
-        gt = np.zeros((9, 21), dtype=np.int64)
-        pred = np.zeros_like(gt)
-        gt[3:6, 9:12] = 1
-        pred[3:6, 1:4], pred[3:6, 17:20] = 1, 2
-        assert obj_hd(pred, gt) == brute_closest_obj_hd(pred, gt) == 8.0
-
-    def test_far_candidates_are_never_measured(self, monkeypatch):
-        # an 8 x 8 lattice of 3 x 3 squares in each map, side by side
-        gt = np.zeros((40, 80), dtype=np.int64)
-        pred = np.zeros_like(gt)
-        ids = np.arange(1, 65).reshape(8, 8)
-        for dr, dc in np.ndindex(3, 3):
-            gt[1 + dr : 40 : 5, 1 + dc : 40 : 5] = ids
-            pred[1 + dr : 40 : 5, 41 + dc : 80 : 5] = ids
-        n = 64
-        calls = []
-        hausdorff = metrics._hausdorff
-        monkeypatch.setattr(metrics, "_hausdorff", lambda a, b: calls.append(1) or hausdorff(a, b))
-        want = brute_closest_obj_hd(pred, gt)
-        assert len(calls) == n * n
-        calls.clear()
-        assert obj_hd(pred, gt) == want
-        assert len(calls) < n * n / 4
-
-
 class TestInvariances:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
