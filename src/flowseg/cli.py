@@ -54,6 +54,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_getconv_check(args) -> int:
+    # with no seed or no point, no check would run and the command would pass
+    for flag, count in (("--seeds", args.seeds), ("--points", args.points)):
+        if count < 1:
+            raise ValueError(f"{flag} must be >= 1, got {count}")
     ok = True
 
     iso_zero = 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridShape
 
@@ -85,6 +84,8 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
     Returns an (h, w) map with id 0 where the message is zero and component
     ids 1..k assigned in raster order of each component's first pixel.
     """
+    from scipy import ndimage
+
     fg = np.asarray(mes).reshape(shape.h, shape.w) != 0
     out = np.empty((shape.h, shape.w), dtype=np.int64)
     # scipy numbers the components in raster order of their first pixel, the

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .grid import GridShape, _csr_index_dtype, disk, stencil_offsets
 
@@ -11,6 +10,8 @@ from .grid import GridShape, _csr_index_dtype, disk, stencil_offsets
 def _same_label_operator(lab: np.ndarray, radius: int):
     """0/1 CSR matrix linking each labeled pixel to its same-label disk
     neighbors in slot order; background rows are empty."""
+    from scipy import sparse
+
     h, w = lab.shape
     n = h * w
     offs = np.array(stencil_offsets(disk(radius))).reshape(-1, 2)

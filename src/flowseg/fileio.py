@@ -8,14 +8,11 @@
   ``{"h", "w", "planes": 2, "dtype": "f64le"}``. The field is stored at the
   precision it is computed in, so clustering a field read back gives the
   same instance map as clustering it in memory
-* parameter tensors: concatenated little-endian float32 payload plus a JSON
-  manifest sidecar naming each tensor, its shape, and its byte offset
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -113,35 +110,6 @@ def _sidecar(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _read_sidecar(path, what: str) -> dict:
-    side = _sidecar(path)
-    if not side.exists():
-        raise ParseError(f"missing {what} {side}")
-    try:
-        meta = json.loads(side.read_text())
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-        raise ParseError(f"bad {what}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ParseError(f"{what} must be a JSON object")
-    return meta
-
-
-def _non_negative_int(value, what: str) -> int:
-    """A sidecar entry that must be a non-negative integer, else ParseError."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _reshape(flat: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``flat`` in ``shape``; a zero-size shape whose other sides numpy cannot
-    hold, such as (2**40, 2**40, 0), is a ParseError."""
-    try:
-        return flat.reshape(shape)
-    except ValueError:
-        raise ParseError(f"{what} shape {shape} is too large") from None
-
-
 def write_field(path, field: np.ndarray) -> None:
     """Write an (h, w, 2) displacement field: f64le payload + JSON sidecar."""
     f = np.asarray(field, dtype=np.float64)
@@ -157,7 +125,15 @@ def write_field(path, field: np.ndarray) -> None:
 
 def read_field(path) -> np.ndarray:
     """Read a displacement field written by :func:`write_field`, as float64."""
-    meta = _read_sidecar(path, "field sidecar")
+    side = _sidecar(path)
+    if not side.exists():
+        raise ParseError(f"missing field sidecar {side}")
+    try:
+        meta = json.loads(side.read_text())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ParseError(f"bad field sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError("field sidecar must be a JSON object")
     for key in ("h", "w", "planes", "dtype"):
         if key not in meta:
             raise ParseError(f"field sidecar lacks key {key!r}")
@@ -165,59 +141,20 @@ def read_field(path) -> np.ndarray:
         raise ParseError(f"unsupported field dtype {meta['dtype']!r}")
     if meta["planes"] != 2:
         raise ParseError(f"expected 2 field planes, got {meta['planes']}")
-    h = _non_negative_int(meta["h"], "field height")
-    w = _non_negative_int(meta["w"], "field width")
+    h, w = meta["h"], meta["w"]
+    for value, what in ((h, "height"), (w, "width")):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ParseError(f"field {what} must be a non-negative integer, got {value!r}")
     data = Path(path).read_bytes()
     need = h * w * 2 * 8
     if len(data) != need:
         raise ParseError(
             f"field payload is {len(data)} bytes, expected {need}", len(data)
         )
-    planes = _reshape(np.frombuffer(data, dtype="<f8").astype(np.float64), (2, h, w), "field")
+    try:
+        # a zero-size shape such as (2, 2**62, 0) matches an empty payload,
+        # but numpy cannot hold it
+        planes = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(2, h, w)
+    except ValueError:
+        raise ParseError(f"field shape {(2, h, w)} is too large") from None
     return np.stack([planes[0], planes[1]], axis=-1)
-
-
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors as one f32le payload plus a JSON manifest sidecar."""
-    entries = []
-    chunks = []
-    offset = 0
-    for name, arr in tensors.items():
-        a = np.asarray(arr, dtype=np.float64).astype("<f4")
-        raw = a.tobytes()
-        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    Path(path).write_bytes(b"".join(chunks))
-    _sidecar(path).write_text(
-        json.dumps({"byte_order": "little", "dtype": "f32", "tensors": entries}) + "\n"
-    )
-
-
-def read_tensors(path) -> dict[str, np.ndarray]:
-    """Read a tensor file written by :func:`write_tensors`, as float64 arrays."""
-    meta = _read_sidecar(path, "tensor manifest")
-    if meta.get("dtype") != "f32" or meta.get("byte_order") != "little":
-        raise ParseError("tensor manifest must declare little-endian f32 data")
-    data = Path(path).read_bytes()
-    out: dict[str, np.ndarray] = {}
-    entries = meta.get("tensors", [])
-    if not isinstance(entries, list):
-        raise ParseError("tensor manifest's tensors must be a list")
-    for entry in entries:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ParseError(f"tensor manifest entry {entry!r} lacks a string name")
-        name = entry["name"]
-        if name in out:
-            raise ParseError(f"tensor {name!r} is named twice")
-        shape = entry.get("shape")
-        if not isinstance(shape, list):
-            raise ParseError(f"tensor {name!r} needs a shape list, got {shape!r}")
-        shape = tuple(_non_negative_int(s, f"tensor {name!r} dimension") for s in shape)
-        start = _non_negative_int(entry.get("offset"), f"tensor {name!r} offset")
-        end = start + 4 * math.prod(shape)
-        if end > len(data):
-            raise ParseError(f"tensor {name!r} exceeds payload", len(data))
-        arr = np.frombuffer(data[start:end], dtype="<f4").astype(np.float64)
-        out[name] = _reshape(arr, shape, f"tensor {name!r}")
-    return out

@@ -108,8 +108,9 @@ def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
 def _require_finite(x, what):
     """``x`` as float64, if finite: an inf tangent times a 0.0 weight is NaN."""
     x = np.asarray(x, dtype=np.float64)
-    # min and max carry any NaN or inf without a temporary the size of x
-    if not np.isfinite([x.min(), x.max()]).all():
+    # min and max carry any NaN or inf without a temporary the size of x; an
+    # empty x (no slots, or no channels) has neither and is finite
+    if x.size and not np.isfinite([x.min(), x.max()]).all():
         raise ValueError(f"{what} must be finite")
     return x
 

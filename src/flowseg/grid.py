@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,8 @@ def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> n
     The operator is a CSR view of both whole tables, with no copy: an off-grid
     slot is an entry at column 0 that adds +0.0 to its row. Each row sums from
     zero in slot order, so the result is the in-grid sum bit for bit."""
+    from scipy import sparse
+
     n, n_slots = adj.nbr_safe.shape
     indptr = n_slots * np.arange(n + 1, dtype=adj.nbr_safe.dtype)
     op = sparse.csr_array((weights.ravel(), adj.nbr_safe.ravel(), indptr), shape=(n, n))

@@ -125,6 +125,16 @@ def test_getconv_check_passes(capsys):
     assert out.strip().endswith("ok")
 
 
+@pytest.mark.parametrize("flag", ["--seeds", "--points"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_getconv_check_rejects_a_count_below_one(flag, count, capsys):
+    # with no seed or no point the command used to print "ok" and exit 0
+    assert cli(["getconv-check", flag, count]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be >= 1" in captured.err
+    assert "ok" not in captured.out
+
+
 def test_cli_is_deterministic(tmp_path):
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
     for out in (a, b):

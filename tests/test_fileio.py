@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowseg.fileio import (
-    ParseError,
-    read_field,
-    read_map,
-    read_tensors,
-    write_field,
-    write_map,
-    write_tensors,
-)
+from flowseg.fileio import ParseError, read_field, read_map, write_field, write_map
 
 
 class TestMapFiles:
@@ -154,81 +146,6 @@ class TestFieldFiles:
             read_field(path)
 
 
-class TestTensorFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        tensors = {
-            "a": rng.normal(size=(3, 4)).astype(np.float32).astype(np.float64),
-            "b": rng.normal(size=(5,)).astype(np.float32).astype(np.float64),
-        }
-        path = tmp_path / "t.bin"
-        write_tensors(path, tensors)
-        got = read_tensors(path)
-        assert set(got) == {"a", "b"}
-        for name in tensors:
-            np.testing.assert_array_equal(got[name], tensors[name])
-        manifest = json.loads((tmp_path / "t.bin.json").read_text())
-        assert manifest["byte_order"] == "little"
-        assert manifest["dtype"] == "f32"
-        assert manifest["tensors"][0] == {"name": "a", "shape": [3, 4], "offset": 0}
-        assert manifest["tensors"][1] == {"name": "b", "shape": [5], "offset": 48}
-
-    def test_overrun_rejected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        write_tensors(path, {"a": np.zeros(4)})
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ParseError, match="exceeds payload"):
-            read_tensors(path)
-
-    def _two_tensors(self, tmp_path):
-        path = tmp_path / "t.bin"
-        write_tensors(path, {"a": np.arange(8.0), "b": np.arange(4.0)})
-        return path, json.loads((tmp_path / "t.bin.json").read_text())
-
-    @pytest.mark.parametrize("offset", [-32, -1, "0", 1.5, None, 10**6])
-    def test_bad_offset_rejected(self, tmp_path, offset):
-        # offset -32 used to read a[4:8] back as b
-        path, manifest = self._two_tensors(tmp_path)
-        manifest["tensors"][1]["offset"] = offset
-        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError):
-            read_tensors(path)
-
-    @pytest.mark.parametrize("shape", ["missing", None, 4, [4.0], [-4], ["4"]])
-    def test_bad_shape_rejected(self, tmp_path, shape):
-        path, manifest = self._two_tensors(tmp_path)
-        if shape == "missing":
-            del manifest["tensors"][1]["shape"]
-        else:
-            manifest["tensors"][1]["shape"] = shape
-        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="'b'"):
-            read_tensors(path)
-
-    @pytest.mark.parametrize("name", [["b"], {"b": 1}, 7, None])
-    def test_name_must_be_a_string(self, tmp_path, name):
-        path, manifest = self._two_tensors(tmp_path)
-        manifest["tensors"][1]["name"] = name
-        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="string name"):
-            read_tensors(path)
-
-    def test_empty_tensor_too_large_to_shape(self, tmp_path):
-        # needs 0 payload bytes, but numpy cannot shape (2**40, 2**40, 0)
-        path, manifest = self._two_tensors(tmp_path)
-        manifest["tensors"][1]["shape"] = [2**40, 2**40, 0]
-        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="'b' shape .* too large"):
-            read_tensors(path)
-
-    def test_duplicate_name_rejected(self, tmp_path):
-        path, manifest = self._two_tensors(tmp_path)
-        manifest["tensors"][1]["name"] = "a"
-        (tmp_path / "t.bin.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError, match="'a' is named twice"):
-            read_tensors(path)
-
-
 # Any payload plus any sidecar gives an array or a ParseError, never another
 # exception. A sidecar is mostly a well-formed dict whose values are mostly
 # plausible, so that every check in a reader is reached, not just the first.
@@ -252,20 +169,6 @@ sizes = mostly(
 payloads = st.just(b"") | st.binary(max_size=80)
 field_sidecars = st.fixed_dictionaries(
     {"h": sizes, "w": sizes, "planes": mostly(st.just(2)), "dtype": mostly(st.just("f64le"))}
-)
-tensor_entries = st.fixed_dictionaries(
-    {
-        "name": mostly(st.sampled_from("ab"), st.sampled_from([["a"], {"a": 1}, 7]) | json_values),
-        "shape": mostly(st.lists(sizes, max_size=3)),
-        "offset": mostly(st.sampled_from([0, 4, 8])),
-    }
-)
-tensor_manifests = st.fixed_dictionaries(
-    {
-        "byte_order": mostly(st.just("little")),
-        "dtype": mostly(st.just("f32")),
-        "tensors": mostly(st.lists(tensor_entries, max_size=3)),
-    }
 )
 # a P5 header of plausible and implausible tokens, then any payload
 map_tokens = st.sampled_from(
@@ -314,10 +217,3 @@ class TestReaderFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.df"
         out = read_or_parse_error(read_field, path, payload, sidecar)
         assert out is None or (out.dtype == np.float64 and out.shape[2:] == (2,))
-
-    @given(payloads, sidecars(tensor_manifests))
-    @settings(max_examples=200, deadline=None)
-    def test_read_tensors(self, tmp_path_factory, payload, sidecar):
-        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
-        out = read_or_parse_error(read_tensors, path, payload, sidecar)
-        assert out is None or all(a.dtype == np.float64 for a in out.values())

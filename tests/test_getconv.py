@@ -242,6 +242,41 @@ def _bad_tangent_jvps():
     }
 
 
+class TestEmptyTables:
+    """square(1) has no slots and C = 0 has no channels; the finiteness checks
+    used to fail on them with numpy's zero-size reduction error."""
+
+    def test_zero_slot_stencil_adds_only_the_shift(self):
+        rng = np.random.default_rng(23)
+        adj = grid_adjacency(GridShape(4, 4), square(1))
+        assert adj.n_slots == 0
+        params = random_layer_params(rng, 3, 0)
+        z, dz = rng.normal(size=(16, 3)), rng.normal(size=(16, 3))
+        out = getconv_forward(z, adj, params)
+        np.testing.assert_array_equal(out, z + params.beta)
+        primal, tangent = getconv_forward_jvp(z, dz, adj, params)
+        np.testing.assert_array_equal(primal, out)
+        np.testing.assert_array_equal(tangent, dz)
+
+    def test_zero_channels(self):
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(24), 0, adj.n_slots)
+        assert getconv_forward(np.zeros((16, 0)), adj, params).shape == (16, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_still_rejects_non_finite(self, bad):
+        rng = np.random.default_rng(25)
+        adj = grid_adjacency(GridShape(4, 4), square(1))
+        params = random_layer_params(rng, 3, 0)
+        z = rng.normal(size=(16, 3))
+        worse = z.copy()
+        worse[5, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            getconv_forward(worse, adj, params)
+        with pytest.raises(ValueError, match="tangent must be finite"):
+            getconv_forward_jvp(z, worse, adj, params)
+
+
 @pytest.mark.parametrize("jvp", sorted(_bad_tangent_jvps()))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_jvp_rejects_a_non_finite_tangent(jvp, bad):

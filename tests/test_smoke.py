@@ -23,12 +23,30 @@ def run_python(*args):
     )
 
 
-# each of these would add a large share to the import time of every CLI call
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.spatial"])
+# each of these would add a large share to the import time of every CLI call;
+# the functions that need scipy.sparse or scipy.ndimage import it when called
+@pytest.mark.parametrize(
+    "module", ["scipy.signal", "scipy.spatial", "scipy.sparse", "scipy.ndimage"]
+)
 def test_import_leaves_module_unloaded(module):
     proc = run_python("-c", f"import sys, flowseg; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_synth_and_eval_load_no_scipy(tmp_path):
+    path = str(tmp_path / "m.pgm")
+    code = (
+        "import sys\n"
+        "from flowseg.cli import cli\n"
+        f"assert cli(['synth', 'two-blobs-adherent', {path!r}]) == 0\n"
+        f"assert cli(['eval', {path!r}, {path!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    # eval's JSON record comes first
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_top_level_has_every_name_the_benchmark_and_the_contract_read():
@@ -56,15 +74,8 @@ def test_top_level_has_every_name_the_benchmark_and_the_contract_read():
 
 # cluster_for_masking turns a displacement field into the cluster ids the
 # masked layer reads (getconv_forward's cls_mask): the paper's graph cluster
-# module, kept though only tests call it today. write_tensors / read_tensors
-# are the documented tensor-file format with its hardened, fuzzed reader; no
-# command writes weights yet, and the format goes in a change of its own
-# (ROADMAP item 5) if none comes to need it
-UNCALLED_BY_DESIGN = {
-    "cluster.cluster_for_masking",
-    "fileio.write_tensors",
-    "fileio.read_tensors",
-}
+# module, kept though only tests call it today
+UNCALLED_BY_DESIGN = {"cluster.cluster_for_masking"}
 
 
 def references(tree):
