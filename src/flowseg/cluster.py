@@ -8,7 +8,7 @@ the direction of the edges: each node adopts the label of the node its
 out-edge points to. Every stage is whole-array numpy or scipy code.
 
 :func:`cluster_for_masking` runs the same pipeline on a patch-averaged field
-with unit energy; its ids are the ``cls_mask`` that
+with unit energy; its ids are the ``clusters`` that
 :func:`flowseg.getconv.getconv_forward` confines messages to.
 """
 
@@ -128,16 +128,14 @@ def gcm(field: np.ndarray, energy: np.ndarray, t0: int = 2, t1: int = 8) -> np.n
     return np.where(np.asarray(energy) == 0, 0, ids)
 
 
-def cluster_for_masking(
-    field: np.ndarray, patch: int = 4, t0: int = 2, t1: int = 8
-) -> np.ndarray:
+def cluster_for_masking(field: np.ndarray, patch: int = 4) -> np.ndarray:
     """Cluster ids on the patch-downsampled grid, with unit initial messages.
 
     The field is averaged over non-overlapping ``patch x patch`` blocks and
     divided by ``patch`` so the vectors are expressed in feature-grid pixel
-    units, then clustered with energy identically 1; with ``t1 >= t0`` every
-    node ends up with a nonzero cluster id. Requires both grid sides to be
-    divisible by ``patch``.
+    units, then clustered by :func:`gcm` with energy identically 1 and its
+    default rounds; since ``t1 >= t0`` there, every node ends up with a
+    nonzero cluster id. Requires both grid sides to be divisible by ``patch``.
     """
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 2:
@@ -147,4 +145,4 @@ def cluster_for_masking(
         raise ValueError(f"grid {h}x{w} not divisible into {patch}x{patch} patches")
     ds = f.reshape(h // patch, patch, w // patch, patch, 2).mean(axis=(1, 3)) / patch
     ones = np.ones((h // patch, w // patch), dtype=np.int64)
-    return gcm(ds, ones, t0, t1)
+    return gcm(ds, ones)

@@ -169,38 +169,36 @@ def diffusivity_jvp(queries, tangent, adj):
     return _edge_weights(_pair_sum(q, adj), _pair_sum(dq, adj), adj)
 
 
-def mask_diffusivity(
-    diffusivity: np.ndarray, cluster_ids: np.ndarray, adj: GridAdjacency
-) -> np.ndarray:
-    """Zero edge weights between nodes of different clusters; idempotent. Every
-    off-grid weight comes out exactly +0.0, as :func:`stencil_sum` needs."""
-    s = np.asarray(diffusivity, dtype=np.float64)
-    if s.shape != (adj.shape.n_nodes, adj.n_slots):
-        raise ValueError(f"diffusivity must be {(adj.shape.n_nodes, adj.n_slots)}, got {s.shape}")
-    cls = np.asarray(cluster_ids).ravel()
+def _confine(s, ds, clusters, adj):
+    """In place, zero the weights in ``s`` and ``ds`` (when given) of every edge
+    between two clusters; return both and each cluster's rows, ascending, in
+    ascending id order. Without clusters, the one group is every row."""
+    if clusters is None:
+        return s, ds, [slice(None)]
+    cls = np.asarray(clusters).ravel()
     if cls.shape[0] != adj.shape.n_nodes:
         raise ValueError("cluster ids must cover all nodes")
-    keep = adj.valid & (cls[adj.nbr_safe] == cls[:, None])
-    return np.where(keep, s, 0.0)
+    # a NaN id would fall in no group and leave its rows unwritten
+    if not np.issubdtype(cls.dtype, np.integer):
+        raise ValueError("cluster ids must be integer")
+    # off-grid weights are +0.0 already, whatever cluster nbr_safe points at
+    cut = cls[adj.nbr_safe] != cls[:, None]
+    for x in (s, ds):
+        if x is not None:
+            x[cut] = 0.0
+    order = np.argsort(cls, kind="stable")
+    ids = cls[order]
+    return s, ds, np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
 
 
-def _group_rows(n_nodes, groups):
-    if groups is None:
-        return [slice(None)]
-    g = np.asarray(groups).ravel()
-    if g.shape[0] != n_nodes:
-        raise ValueError("norm groups must cover all nodes")
-    return [np.flatnonzero(g == v) for v in np.unique(g)]
-
-
-def _standardize(x, dx, groups=None):
+def _standardize(x, dx, groups):
     """Per-channel zero-mean unit-variance over nodes (population variance,
     no epsilon), and its derivative along ``dx`` when given; a constant channel
-    standardizes to exactly 0. With groups, statistics are taken within each
-    group of nodes independently."""
+    standardizes to exactly 0. Statistics are taken within each group of rows,
+    and the groups must cover every row."""
     out = np.empty_like(x)
     dout = None if dx is None else np.empty_like(x)
-    for rows in _group_rows(x.shape[0], groups):
+    for rows in groups:
         sub = x[rows]
         centered = sub - sub.mean(axis=0)
         std = np.sqrt((centered**2).mean(axis=0))
@@ -219,14 +217,14 @@ def _standardize(x, dx, groups=None):
     return out, dout
 
 
-def _update(res, feats, weights, adj, params, groups=None, cls_mask=None, dres=None, dfeats=None):
+def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=None):
     """``res + BN(sum_j s_ij feats_j) * gamma + beta`` for ``weights = [s, ds]``
-    masked by ``cls_mask``, and its derivative along ``dres``, ``dfeats``, ``ds``
-    unless ``ds`` is None. The list is emptied, so s and ds are freed early."""
+    confined to ``clusters``, and its derivative along ``dres``, ``dfeats``,
+    ``ds`` unless ``ds`` is None. The list is emptied, so s and ds are freed
+    early."""
     s, ds = weights
     weights.clear()
-    if cls_mask is not None:
-        s, ds = (None if x is None else mask_diffusivity(x, cls_mask, adj) for x in (s, ds))
+    s, ds, groups = _confine(s, ds, clusters, adj)
     agg = stencil_sum(s, feats, adj)
     dagg = None if ds is None else stencil_sum(ds, feats, adj) + stencil_sum(s, dfeats, adj)
     del s, ds
@@ -250,35 +248,26 @@ def getconv_forward(
     feats: np.ndarray,
     adj: GridAdjacency,
     params: LayerParams,
-    cls_mask: np.ndarray | None = None,
-    norm_groups: np.ndarray | None = None,
+    clusters: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual anisotropic update ``z + BN(sum_j s_ij z_j)``.
 
-    cls_mask: optional per-node cluster ids; edges between different clusters
-        are zeroed before aggregation, so messages stay intra-cluster.
-    norm_groups: optional per-node group ids; normalization statistics are
-        computed within each group instead of over all nodes. Passing the
-        cluster ids here as well makes a node's output depend only on its own
-        cluster's features (singleton groups fall under the constant-channel
-        rule and standardize to 0).
+    clusters: optional per-node integer cluster ids. Edges between two
+        clusters are zeroed before aggregation and each cluster takes its own
+        normalization statistics, so a node's output depends only on its own
+        cluster's features (a one-node cluster falls under the constant-channel
+        rule and standardizes to 0).
     """
     z = _check_forward_input(feats, adj)
-    return _update(
-        z, z, [diffusivity(query_messages(z, params), adj), None], adj, params, norm_groups,
-        cls_mask,
-    )[0]
+    weights = [diffusivity(query_messages(z, params), adj), None]
+    return _update(z, z, weights, adj, params, clusters)[0]
 
 
-def getconv_forward_jvp(
-    feats, tangent, adj, params, cls_mask=None, norm_groups=None
-):
+def getconv_forward_jvp(feats, tangent, adj, params, clusters=None):
     z = _check_forward_input(feats, adj)
     dz = _require_finite(tangent, "tangent")
-    return _update(
-        z, z, list(diffusivity_jvp(*_query(z, dz, params), adj)), adj, params, norm_groups,
-        cls_mask, dres=dz, dfeats=dz,
-    )
+    weights = list(diffusivity_jvp(*_query(z, dz, params), adj))
+    return _update(z, z, weights, adj, params, clusters, dres=dz, dfeats=dz)
 
 
 def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:

@@ -185,14 +185,14 @@ def test_criterion_7_masking_inertness():
     adj = grid_adjacency(shape, square(3))
     params = random_layer_params(rng, 4, adj.n_slots)
     feats = rng.normal(size=(shape.n_nodes, 4))
-    base = getconv_forward(feats, adj, params, cls_mask=cls, norm_groups=cls)
+    base = getconv_forward(feats, adj, params, clusters=cls)
     ok = True
     for target_cluster in (1, 2):
         inside = cls == target_cluster
         for _ in range(3):
             bumped = feats.copy()
             bumped[~inside] += rng.uniform(-1e3, 1e3, size=((~inside).sum(), 4))
-            out = getconv_forward(bumped, adj, params, cls_mask=cls, norm_groups=cls)
+            out = getconv_forward(bumped, adj, params, clusters=cls)
             ok &= np.array_equal(out[inside], base[inside])
     _report(
         7,

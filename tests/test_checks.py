@@ -11,7 +11,7 @@ from flowseg import (
     random_check_point,
     square,
 )
-from flowseg.checks import _OPS, CheckPoint, JACOBIAN_OPS, _op_args
+from flowseg.checks import _OPS, FD_STEP, JACOBIAN_OPS, JACOBIAN_TOL, CheckPoint, _op_args
 from flowseg.getconv import diffusivity_jvp
 
 
@@ -51,11 +51,29 @@ class TestJacobianCheck:
         point = random_check_point("getconv", seed=4)
         adj = grid_adjacency(point.shape, point.spec)
         cls = np.random.default_rng(4).integers(0, 3, size=adj.shape.n_nodes)
-        kw = {"cls_mask": cls, "norm_groups": cls}
         np.testing.assert_array_equal(
-            getconv_forward_jvp(point.x, point.tangent, adj, point.params, **kw)[0],
-            getconv_forward(point.x, adj, point.params, **kw),
+            getconv_forward_jvp(point.x, point.tangent, adj, point.params, clusters=cls)[0],
+            getconv_forward(point.x, adj, point.params, clusters=cls),
         )
+
+    def test_masked_getconv_jvp_tangent_matches_central_differences(self):
+        worst = 0.0
+        for seed in range(5):
+            point = random_check_point("getconv", seed)
+            adj = grid_adjacency(point.shape, point.spec)
+            cls = np.random.default_rng(seed).integers(0, 3, size=adj.shape.n_nodes)
+
+            def forward(x):
+                return getconv_forward(x, adj, point.params, clusters=cls)
+
+            step = FD_STEP * point.tangent
+            fd = (forward(point.x + step) - forward(point.x - step)) / (2.0 * FD_STEP)
+            analytic = getconv_forward_jvp(
+                point.x, point.tangent, adj, point.params, clusters=cls
+            )[1]
+            scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
+            worst = max(worst, np.abs(analytic - fd).max() / scale)
+        assert worst < JACOBIAN_TOL
 
     def test_diffusivity_derivative_at_zero_queries(self):
         # with all queries zero, every edge weight is exp(0) = 1 and the

@@ -13,8 +13,7 @@ from flowseg.cluster import (
     recover,
 )
 from flowseg.diffusion import gt_displacement
-from flowseg.getconv import mask_diffusivity
-from flowseg.grid import GridShape, grid_adjacency, square
+from flowseg.grid import GridShape
 from oracles import components8
 
 
@@ -232,24 +231,3 @@ class TestClusterForMasking:
         with pytest.raises(ValueError, match="divisible"):
             cluster_for_masking(np.zeros((10, 12, 2)), patch=4)
 
-
-class TestMaskDiffusivity:
-    def test_single_cluster_unchanged(self):
-        adj = grid_adjacency(GridShape(3, 3), square(3))
-        rng = np.random.default_rng(0)
-        s = rng.random((9, 8)) * adj.valid
-        np.testing.assert_array_equal(mask_diffusivity(s, np.ones(9), adj), s)
-
-    def test_cross_cluster_edges_zeroed(self):
-        adj = grid_adjacency(GridShape(1, 2), square(3))
-        s = np.where(adj.valid, 2.0, 0.0)
-        masked = mask_diffusivity(s, np.array([1, 2]), adj)
-        np.testing.assert_array_equal(masked, 0.0)
-
-    def test_idempotent(self):
-        adj = grid_adjacency(GridShape(4, 4), square(3))
-        rng = np.random.default_rng(3)
-        s = rng.random((16, 8))
-        cls = rng.integers(0, 3, size=16)
-        once = mask_diffusivity(s, cls, adj)
-        np.testing.assert_array_equal(mask_diffusivity(once, cls, adj), once)

@@ -17,7 +17,6 @@ from flowseg.getconv import (
     getconv_forward_jvp,
     isotropic_attention_forward,
     isotropic_attention_forward_jvp,
-    mask_diffusivity,
     query_messages,
     random_iso_params,
     random_layer_params,
@@ -139,7 +138,7 @@ class TestGetconvForward:
         params = random_layer_params(rng, 4, adj.n_slots)
         params.gamma = np.ones(4)
         params.beta = np.zeros(4)
-        out = getconv_forward(z, adj, params, cls_mask=np.arange(9))
+        out = getconv_forward(z, adj, params, clusters=np.arange(9))
         np.testing.assert_array_equal(out, z)
 
     def test_matches_dense_oracle(self):
@@ -160,7 +159,7 @@ class TestGetconvForward:
         params = random_layer_params(rng, 3, adj.n_slots)
         cls = rng.integers(0, 3, size=16)
         np.testing.assert_allclose(
-            getconv_forward(z, adj, params, cls_mask=cls, norm_groups=cls),
+            getconv_forward(z, adj, params, clusters=cls),
             oracle_getconv(z, 4, 4, square(3), params, cls=cls, norm_groups=cls),
             atol=1e-10,
         )
@@ -171,11 +170,44 @@ class TestGetconvForward:
         z = rng.normal(size=(16, 4))
         params = random_layer_params(rng, 4, adj.n_slots)
         cls = np.repeat([1, 2], 8)
-        base = getconv_forward(z, adj, params, cls_mask=cls, norm_groups=cls)
+        base = getconv_forward(z, adj, params, clusters=cls)
         bumped = z.copy()
         bumped[cls == 2] += rng.uniform(-1e3, 1e3, size=(8, 4))
-        out = getconv_forward(bumped, adj, params, cls_mask=cls, norm_groups=cls)
+        out = getconv_forward(bumped, adj, params, clusters=cls)
         np.testing.assert_array_equal(out[cls == 1], base[cls == 1])
+
+    def test_single_cluster_is_the_plain_forward(self):
+        rng = np.random.default_rng(11)
+        adj = grid_adjacency(GridShape(5, 6), disk(2))
+        z = rng.normal(size=(30, 4))
+        dz = rng.normal(size=z.shape)
+        params = random_layer_params(rng, 4, adj.n_slots)
+        one = np.ones(30, dtype=int)
+        np.testing.assert_array_equal(
+            getconv_forward(z, adj, params, clusters=one), getconv_forward(z, adj, params)
+        )
+        for got, want in zip(
+            getconv_forward_jvp(z, dz, adj, params, clusters=one),
+            getconv_forward_jvp(z, dz, adj, params),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rejects_non_integer_clusters(self):
+        # a NaN id used to fall in no group, leaving its output rows unwritten
+        ids = np.r_[np.zeros(8), np.full(8, np.nan)]
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
+        z = np.random.default_rng(1).normal(size=(16, 3))
+        with pytest.raises(ValueError, match="cluster ids must be integer"):
+            getconv_forward(z, adj, params, clusters=ids)
+        with pytest.raises(ValueError, match="cluster ids must be integer"):
+            getconv_forward_jvp(z, z, adj, params, clusters=ids)
+
+    def test_rejects_clusters_not_covering_the_grid(self):
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
+        with pytest.raises(ValueError, match="cover all nodes"):
+            getconv_forward(np.zeros((16, 3)), adj, params, clusters=np.ones(15, int))
 
     def test_rejects_single_node_grid(self):
         adj = grid_adjacency(GridShape(1, 1), square(3))
@@ -442,11 +474,13 @@ def _weight_producers():
     iso.wq, iso.wk = 60.0 * iso.wq, 60.0 * iso.wk
     iso_jvp = flowseg.getconv._iso_weights(z, z, adj, iso)
     s, ds = diffusivity_jvp(q, rng.normal(size=q.shape), adj)
+    confined = flowseg.getconv._confine(s.copy(), ds.copy(), np.arange(42) % 3, adj)
     weights = {
         "diffusivity": diffusivity(q, adj),
         "diffusivity_jvp primal": s,
         "diffusivity_jvp tangent": ds,
-        "mask_diffusivity": mask_diffusivity(s, np.arange(42) % 3, adj),
+        "confined primal": confined[0],
+        "confined tangent": confined[1],
         "isotropic primal": iso_jvp[0],
         "isotropic tangent": iso_jvp[1],
     }

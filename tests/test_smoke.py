@@ -73,7 +73,7 @@ def test_top_level_has_every_name_the_benchmark_and_the_contract_read():
 
 
 # cluster_for_masking turns a displacement field into the cluster ids the
-# masked layer reads (getconv_forward's cls_mask): the paper's graph cluster
+# masked layer reads (getconv_forward's clusters): the paper's graph cluster
 # module, kept though only tests call it today
 UNCALLED_BY_DESIGN = {"cluster.cluster_for_masking"}
 
