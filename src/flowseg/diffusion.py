@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .grid import GridShape, _csr_index_dtype, disk, stencil_offsets
@@ -44,8 +46,9 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
 
     Each round multiplies each coordinate plane by one fixed 0/1 sparse
     matrix, then divides by the neighbor count. Accumulation is in float64
-    with a fixed CSR row order, equal to slot order, so results are
-    deterministic and independent of any parallelism in numpy.
+    with a fixed CSR row order, equal to slot order. The two planes run on
+    two threads and no sum crosses them, so results are deterministic and
+    independent of scheduling.
     """
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -67,13 +70,27 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
     movable = count > 0
     denom = np.maximum(count, 1.0)
 
-    # the row and column coordinates never mix, so each plane iterates alone
-    # (two single-vector products are faster than one two-column product)
-    planes = []
-    for start in np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w):
-        start = start.astype(np.float64)
-        coords = start
-        for _ in range(iters):
-            coords = np.where(movable, (op @ coords) / denom, coords)
-        planes.append(coords - start)
-    return np.stack(planes, axis=-1).reshape(shape.h, shape.w, 2)
+    # the row and column coordinates never mix, so each plane iterates alone:
+    # plane 0 on a second thread, plane 1 here (scipy's product releases the GIL)
+    out = np.empty((shape.n_nodes, 2))
+    starts = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
+    failed = []
+
+    def iterate(plane):
+        try:
+            start = coords = starts[plane].astype(np.float64)
+            for _ in range(iters):
+                coords = np.where(movable, (op @ coords) / denom, coords)
+            out[:, plane] = coords - start
+        except BaseException as exc:  # left in a thread, it would only be printed
+            failed.append(exc)
+
+    worker = threading.Thread(target=iterate, args=(0,))
+    worker.start()
+    try:
+        iterate(1)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return out.reshape(shape.h, shape.w, 2)

@@ -1,10 +1,53 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import flowseg.diffusion
-from flowseg.diffusion import gt_displacement
-from flowseg.grid import _csr_index_dtype, disk, grid_adjacency, stencil_offsets
+from flowseg.diffusion import _same_label_operator, gt_displacement
+from flowseg.grid import GridShape, _csr_index_dtype, disk, grid_adjacency, stencil_offsets
+from flowseg.synth import synth
 from oracles import gt_displacement_naive, random_label_map
+
+ROUNDTRIP_FIXTURES = ("random-voronoi", "two-blobs-adherent", "concave-horseshoe")
+
+
+def serial_gt_displacement(lab, radius, iters):
+    """gt_displacement's iteration with both planes on the calling thread, one
+    after the other: the single-threaded reference for bit equality."""
+    shape = GridShape(*lab.shape)
+    op = _same_label_operator(lab, radius)
+    count = op.sum(axis=1)
+    movable = count > 0
+    denom = np.maximum(count, 1.0)
+
+    # the row and column coordinates never mix, so each plane iterates alone
+    # (two single-vector products are faster than one two-column product)
+    planes = []
+    for start in np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w):
+        start = start.astype(np.float64)
+        coords = start
+        for _ in range(iters):
+            coords = np.where(movable, (op @ coords) / denom, coords)
+        planes.append(coords - start)
+    return np.stack(planes, axis=-1).reshape(shape.h, shape.w, 2)
+
+
+class FailingOperator:
+    """Wraps the operator; its product raises ``exc`` on one thread only."""
+
+    def __init__(self, op, exc, on_caller):
+        self.op, self.exc, self.on_caller = op, exc, on_caller
+        self.caller = threading.get_ident()
+
+    def sum(self, axis):
+        return self.op.sum(axis=axis)
+
+    def __matmul__(self, coords):
+        if (threading.get_ident() == self.caller) == self.on_caller:
+            raise self.exc
+        return self.op @ coords
 
 
 class TestGtDisplacement:
@@ -54,6 +97,59 @@ class TestGtDisplacement:
             got = gt_displacement(labels, radius=radius, iters=iters)
             want = gt_displacement_naive(labels, radius, iters)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ROUNDTRIP_FIXTURES)
+    def test_two_threads_bit_identical_to_serial_at_64(self, name):
+        # at 64x64 with 96 rounds the two planes overlap in time
+        labels = synth(name, (64, 64), seed=1)
+        before = threading.active_count()
+        got = gt_displacement(labels, radius=5, iters=96)
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(got, serial_gt_displacement(labels, 5, 96))
+
+    def test_reentrant_from_two_threads(self):
+        # two outer calls make four threads on the planes, more than the cores,
+        # and a short switch interval interleaves them as often as it can
+        labels = synth("random-voronoi", (64, 64), seed=1)
+        want = serial_gt_displacement(labels, 5, 96)
+        before = threading.active_count()
+        got = [None, None]
+
+        def call(k):
+            got[k] = gt_displacement(labels, radius=5, iters=96)
+
+        outer = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in outer:
+                t.start()
+            for t in outer:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in outer)
+        assert threading.active_count() == before
+        for field in got:
+            np.testing.assert_array_equal(field, want)
+
+    @pytest.mark.parametrize("on_caller", [False, True], ids=["worker plane", "caller plane"])
+    def test_failing_plane_raises_and_leaves_no_thread(self, monkeypatch, on_caller):
+        # an exception in either plane must reach the caller, not come out as
+        # a field with one plane never written
+        boom = RuntimeError("plane failed")
+        build = flowseg.diffusion._same_label_operator
+        monkeypatch.setattr(
+            flowseg.diffusion,
+            "_same_label_operator",
+            lambda lab, radius: FailingOperator(build(lab, radius), boom, on_caller),
+        )
+        labels = random_label_map(np.random.default_rng(4), 12, 12)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            gt_displacement(labels, radius=3, iters=4)
+        assert info.value is boom
+        assert threading.active_count() == before
 
     def test_builds_no_adjacency_tables(self):
         labels = random_label_map(np.random.default_rng(2), 13, 19)
