@@ -3,9 +3,9 @@
 The top level exports the pipeline, the metrics, the layer entry points, the
 checks and file I/O; everything else is imported from its module.
 
-scipy is imported only inside the three functions that call it
-(``grid.stencil_sum``, ``diffusion._same_label_operator`` and
-``cluster.connected_components``), so importing the package loads none of it.
+scipy is imported only inside the two functions that call it
+(``grid.stencil_sum`` and ``diffusion._same_label_operator``), so importing the
+package loads none of it.
 """
 
 from .checks import isomorphism_probe, jacobian_check, random_check_point

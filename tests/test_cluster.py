@@ -24,6 +24,41 @@ def adherent_squares():
     return labels
 
 
+def spiral(n):
+    """A one-pixel-wide square spiral on an n x n grid, arms two pixels apart."""
+    on = np.zeros((n, n), dtype=bool)
+
+    def inside(r, c):
+        return 0 <= r < n and 0 <= c < n
+
+    r, c, dr, dc = 0, 0, 0, 1
+    on[r, c] = True
+    turns = 0
+    while turns < 2:
+        # step ahead onto a free pixel unless the one past it is already drawn
+        ahead, beyond = (r + dr, c + dc), (r + 2 * dr, c + 2 * dc)
+        if inside(*ahead) and not on[ahead] and not (inside(*beyond) and on[beyond]):
+            r, c = ahead
+            on[r, c] = True
+            turns = 0
+        else:
+            dr, dc = dc, -dr  # turn right
+            turns += 1
+    return on
+
+
+def comb(n):
+    """One-pixel-wide teeth in every other column, joined by the bottom row."""
+    on = np.zeros((n, n), dtype=bool)
+    on[:, ::2] = True
+    on[-1] = True
+    return on
+
+
+def labelled(binary):
+    return connected_components(binary.ravel().astype(float), GridShape(*binary.shape))
+
+
 class TestBuildTg:
     def test_zero_field_self_loops(self):
         e = np.arange(12).reshape(3, 4)
@@ -136,6 +171,57 @@ class TestConnectedComponents:
         k = int(out.max())
         np.testing.assert_array_equal(ids[ids > 0], np.arange(1, k + 1))
         assert np.all(np.diff(first[ids > 0]) > 0)
+
+    @pytest.mark.parametrize("turn", range(4))
+    @pytest.mark.parametrize("shape_fn", [spiral, comb])
+    def test_one_pixel_wide_shapes_are_one_component(self, shape_fn, turn):
+        # the most union-find rounds: every row cuts the shape into many runs
+        # whose links reach the first run only through long chains
+        binary = np.rot90(shape_fn(23), turn)
+        out = labelled(binary)
+        np.testing.assert_array_equal(out, components8(binary))
+        assert out.max() == 1
+
+    def test_checkerboard_is_connected_only_diagonally(self):
+        binary = np.indices((9, 14)).sum(axis=0) % 2 == 0
+        out = labelled(binary)
+        np.testing.assert_array_equal(out, components8(binary))
+        assert out.max() == 1
+
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 17), (17, 1)])
+    @pytest.mark.parametrize("fill", ["off", "on", "alternating", "pairs"])
+    def test_thin_and_constant_grids(self, hw, fill):
+        n = hw[0] * hw[1]
+        binary = {
+            "off": np.zeros(n, dtype=bool),
+            "on": np.ones(n, dtype=bool),
+            "alternating": np.arange(n) % 2 == 0,
+            "pairs": np.arange(n) % 3 != 2,
+        }[fill].reshape(hw)
+        np.testing.assert_array_equal(labelled(binary), components8(binary))
+
+    @pytest.mark.parametrize("density", [0.35, 0.41, 0.5])
+    def test_random_maps_around_the_percolation_threshold(self, density):
+        # 8-connected site percolation sets in near density 0.41
+        binary = np.random.default_rng(int(density * 100)).random((200, 300)) < density
+        np.testing.assert_array_equal(labelled(binary), components8(binary))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_message(self, bad):
+        # unchecked, NaN != 0 made the pixel a seed and the map looked finite
+        with pytest.raises(ValueError, match="message must be finite"):
+            connected_components(np.array([bad, 0, 1, 0]), GridShape(2, 2))
+
+    def test_a_contraction_that_overflows_raises(self):
+        field = np.zeros((1, 2, 2))
+        field[0, 1] = (0, -1)  # both pixels send to pixel 0
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            gcm(field, np.full((1, 2), 1e308))
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_rejects_a_message_of_the_wrong_length(self, n):
+        with pytest.raises(ValueError, match="entries"):
+            connected_components(np.ones(n), GridShape(2, 2))
 
 
 class TestReverseRecover:

@@ -24,7 +24,8 @@ def run_python(*args):
 
 
 # each of these would add a large share to the import time of every CLI call;
-# the functions that need scipy.sparse or scipy.ndimage import it when called
+# the two functions that need scipy.sparse import it when called, and nothing
+# in the package needs scipy.ndimage
 @pytest.mark.parametrize(
     "module", ["scipy.signal", "scipy.spatial", "scipy.sparse", "scipy.ndimage"]
 )
@@ -46,6 +47,24 @@ def test_synth_and_eval_load_no_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     # eval's JSON record comes first
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_synth_cluster_and_eval_load_no_scipy(tmp_path):
+    labels, field, pred = (str(tmp_path / name) for name in ("l.pgm", "f.bin", "p.pgm"))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from flowseg import write_field\n"
+        "from flowseg.cli import cli\n"
+        f"assert cli(['synth', 'two-blobs-adherent', {labels!r}]) == 0\n"
+        f"write_field({field!r}, np.zeros((64, 64, 2)))\n"
+        f"assert cli(['cluster', {labels!r}, {field!r}, {pred!r}]) == 0\n"
+        f"assert cli(['eval', {pred!r}, {labels!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
