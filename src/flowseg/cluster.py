@@ -125,10 +125,13 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
             parent = jumped
         keep = parent[a] != parent[b]
         a, b = a[keep], b[keep]
-    rank = np.cumsum(parent == np.arange(len(starts)))
-    out = np.zeros((shape.h, shape.w), dtype=np.int64)
-    out[fg] = np.repeat(rank[parent], ends - starts)
-    return out
+    ids = np.cumsum(parent == np.arange(len(starts)))[parent]
+    # +id at each run's start and -id one past its end, which is no run's
+    # start: the running sum paints every run with its id
+    paint = np.zeros(shape.h * w1, dtype=np.int64)
+    paint[starts] = ids
+    paint[ends] = -ids
+    return np.cumsum(paint, out=paint).reshape(shape.h, w1)[:, :-1]
 
 
 def recover(tg: TransmitGraph, ins: np.ndarray, t1: int = 8) -> np.ndarray:

@@ -23,17 +23,19 @@ Maps must hold non-negative integer ids. A public metric extracts each map's
 objects and their overlap matrix once, and ``evaluate`` extracts them once for
 all four of its calls. Boundaries come from one pass over each map, and the
 Hausdorff distance is exact: squared distances of integer pixel coordinates
-need no rounding. Before the dense product, each boundary keeps only the points
-whose distance to the centre ``c`` of the other object's bounding ball lies
-within ``2 r`` of the smallest or the largest such distance (``r`` is that
-ball's radius plus 1 px of slack). No other point can be a nearest neighbour or
-attain a directed maximum (proof at ``_prune``), so the result is unchanged.
-Only a ball more than twice as wide as the other's can lose points, so only
-such an object is pruned.
+need no rounding. Two objects that are the same pixel set are at distance 0 and
+need no boundary, so ``evaluate(m, m)`` builds none. For any other pair, each
+boundary has a ball (centre ``c``, radius ``r`` plus 1 px of slack) holding all
+its points. When the distances of the wider ball's boundary points to the
+narrower ball's ``c`` spread over at least that ball's ``2 r``, the wider
+boundary's directed distance is the symmetric one, and only its points within
+``2 r`` of the largest such distance can attain it (proof at ``_hausdorff``):
+only those are measured. Otherwise the full product is taken.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,45 +192,42 @@ def _boundaries(objs: _ObjectSet) -> list[tuple[np.ndarray, np.ndarray, float]]:
     return list(zip(np.split(pts, starts[1:]), centre, radius))
 
 
-def _prune(pts: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
-    """The points that can attain the directed Hausdorff distance to, or be a
-    nearest neighbour of some point of, a set inside the ball (centre, radius).
-
-    Every point q of that set lies within ``radius`` of ``centre``, so for each
-    point p, with e = |p - centre|: e - radius <= d(p, set) <= e + radius. Let
-    the points' e range over [lo, hi].
-    * A point with e < hi - 2 radius has d(p, set) < hi - radius, which the
-      point at hi reaches or exceeds: it attains no directed maximum.
-    * A point with e > lo + 2 radius lies farther than lo + radius from every
-      q, and the point at lo lies within lo + radius of each: it is no q's
-      nearest neighbour, not even in a tie.
-    Both inequalities are strict and the radius carries 1 px of slack, so
-    rounding in the float distances never drops a point that is needed.
-    """
-    e = np.hypot(*(pts - centre).T)
-    return pts[(e <= e.min() + 2 * radius) | (e >= e.max() - 2 * radius)]
+def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances of p's points to q's as one product of the
+    rows [-2p, |p|², 1] and the columns [q, 1, |q|²]; every term is an integer
+    below 2**53, so the result is exact whatever the summation order."""
+    lp = np.column_stack([-2.0 * p, (p * p).sum(axis=1), np.ones(len(p))])
+    lq = np.vstack([q.T, np.ones(len(q)), (q * q).sum(axis=1)])
+    return lp @ lq
 
 
 def _hausdorff(a: tuple, b: tuple) -> float:
     """Symmetric Hausdorff distance of two ``_boundaries`` entries.
 
-    The pruned points of a keep every maximiser of d(., b) and, for every
-    point of b, a nearest neighbour; likewise for b. So both directed maxima
-    over the pruned points equal those over all points.
+    Name the entries so that A's ball is no wider than B's. Every point of A
+    lies within r_A of c_A. With e_b = |b - c_A| for the points b of B, the
+    point nearest c_A gives h(A->B) <= r_A + min e_b, and the point farthest
+    from c_A lies at least max e_b - r_A from every point of A, so
+    h(B->A) >= max e_b - r_A. If max e_b - min e_b >= 2 r_A, then
+    h(B->A) >= h(A->B), so the symmetric distance is h(B->A). A point b with
+    e_b < max e_b - 2 r_A has d(b, A) <= e_b + r_A < max e_b - r_A, so it
+    attains no maximum: only the others are measured against all of A.
+    Otherwise every e_b lies within 2 r_A of the smallest, so the ball rules
+    out no point of B as a maximiser or a nearest neighbour, and the full
+    product is taken.
+
+    The mirror test, with A and B swapped, never holds: the distances of A's
+    points to c_B spread over at most A's diameter, at most 2 (r_A - 1) <
+    2 r_B. The radius carries 1 px of slack, which absorbs the rounding of
+    the float distances in each bound.
     """
-    (pa, ca, ra), (pb, cb, rb) = a, b
-    # a's distances to cb spread over at most 2 ra, and a prune drops a point
-    # only where they spread over more than 4 rb: skip prunes that drop nothing
-    if ra > 2 * rb:
-        pa = _prune(pa, cb, rb)
-    if rb > 2 * ra:
-        pb = _prune(pb, ca, ra)
-    # squared distances of integer coordinates are exact in float64, so the
-    # square root of the extreme equals the Euclidean distance bit for bit
-    d2 = pa @ pb.T
-    d2 *= -2.0
-    d2 += (pa * pa).sum(axis=1)[:, None]
-    d2 += (pb * pb).sum(axis=1)
+    (pa, ca, ra), (pb, _, _) = sorted((a, b), key=lambda entry: entry[2])
+    e = np.hypot(*(pb - ca).T)
+    # squared distances are exact, so the square root of an extreme equals
+    # the Euclidean distance bit for bit
+    if e.max() - e.min() >= 2 * ra:
+        return float(np.sqrt(_sq_dists(pa, pb[e >= e.max() - 2 * ra]).min(axis=0).max()))
+    d2 = _sq_dists(pa, pb)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
@@ -246,15 +245,17 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     h, w = g.index.shape
     if g.count == 0 or p.count == 0:
         return float(np.hypot(h - 1, w - 1))
-    gt_bounds = _boundaries(g)
-    pred_bounds = _boundaries(p)
-    cache: dict[tuple[int, int], float] = {}
 
+    @functools.cache
+    def bounds():
+        return _boundaries(g), _boundaries(p)
+
+    @functools.cache
     def hd(i, j):
-        key = (i, j)
-        if key not in cache:
-            cache[key] = _hausdorff(gt_bounds[i], pred_bounds[j])
-        return cache[key]
+        if overlap[i, j] == g.areas[i] == p.areas[j]:
+            return 0.0  # the same pixel set
+        gt_bounds, pred_bounds = bounds()
+        return _hausdorff(gt_bounds[i], pred_bounds[j])
 
     def one_side(n_self, areas, total, ov, pair_hd, n_other):
         acc = 0.0

@@ -181,6 +181,16 @@ def weak_pruning_maps():
     }
 
 
+def spy_products(monkeypatch):
+    """Record the (rows, columns) of every squared-distance product."""
+    shapes = []
+    sq_dists = metrics._sq_dists
+    monkeypatch.setattr(
+        metrics, "_sq_dists", lambda p, q: shapes.append((len(p), len(q))) or sq_dists(p, q)
+    )
+    return shapes
+
+
 class TestPrunedHausdorff:
     def test_equals_the_dense_product_on_random_pairs(self):
         for seed in range(300):
@@ -198,14 +208,77 @@ class TestPrunedHausdorff:
 
     def test_the_maximiser_can_sit_almost_2r_inside_the_farthest_point(self):
         # B is two points 20 apart (centre c = (0, 10), radius 10 + 1). A's
-        # point (23, 10) lies 23 from c, 12 less than A's farthest point
-        # (0, 45), yet it is the one farthest from B: sqrt(23² + 10²) > 45 - 20.
-        # A's point (0, 0) widens A's ball past twice B's, so A is pruned.
+        # points lie 10, 0, 23 and 35 from c, a spread of at least 2 r, so only
+        # A's points at least 35 - 22 from c are measured. Its point (23, 10)
+        # lies 12 less than A's farthest point (0, 45) from c, yet it is the
+        # one farthest from B: sqrt(23² + 10²) > 45 - 20.
         gt = np.zeros((24, 46), dtype=np.int64)
         pred = np.zeros_like(gt)
         gt[[0, 0, 23, 0], [0, 10, 10, 45]] = 1
         pred[[0, 0], [0, 20]] = 1
         assert obj_hd(pred, gt) == unpruned_obj_hd(pred, gt) == np.sqrt(23**2 + 10**2)
+
+    def test_a_small_object_inside_a_large_one_measures_only_the_far_points(self, monkeypatch):
+        big = np.zeros((40, 40), dtype=np.int64)
+        big[2:38, 2:38] = 1
+        small = np.zeros_like(big)
+        small[8:11, 25:28] = 1
+        pb, cb, rb = metrics._boundaries(metrics._extract(big))[0]
+        ps, cs, rs = metrics._boundaries(metrics._extract(small))[0]
+        want = dense_hausdorff(pb, ps)
+        shapes = spy_products(monkeypatch)
+        assert metrics._hausdorff((pb, cb, rb), (ps, cs, rs)) == want
+        assert metrics._hausdorff((ps, cs, rs), (pb, cb, rb)) == want
+        # each order measures the small object against a part of the large one
+        assert [s[0] for s in shapes] == [len(ps)] * 2
+        assert all(0 < s[1] < len(pb) for s in shapes)
+        assert obj_hd(small, big) == unpruned_obj_hd(small, big) == want
+        assert obj_hd(big, small) == unpruned_obj_hd(big, small) == want
+
+    def test_a_ring_around_a_small_object_takes_the_full_product(self, monkeypatch):
+        rr, cc = np.mgrid[0:41, 0:41]
+        dist = np.hypot(rr - 20, cc - 20)
+        ring = ((dist >= 10) & (dist <= 14)).astype(np.int64)
+        small = np.zeros_like(ring)
+        small[18:23, 18:23] = 1
+        a = metrics._boundaries(metrics._extract(ring))[0]
+        b = metrics._boundaries(metrics._extract(small))[0]
+        # the ring's distances to the small object's centre spread below 2 r
+        e = np.hypot(*(a[0] - b[1]).T)
+        assert e.max() - e.min() < 2 * b[2]
+        shapes = spy_products(monkeypatch)
+        want = dense_hausdorff(a[0], b[0])
+        assert metrics._hausdorff(a, b) == metrics._hausdorff(b, a) == want
+        # both orders measure every point of the small object against the ring
+        assert shapes == [(len(b[0]), len(a[0]))] * 2
+        assert obj_hd(small, ring) == unpruned_obj_hd(small, ring) == want
+        assert obj_hd(ring, small) == unpruned_obj_hd(ring, small) == want
+
+    def test_only_the_pair_that_differs_is_measured(self, monkeypatch):
+        gt = np.zeros((30, 30), dtype=np.int64)
+        gt[2:12, 2:12] = 1
+        gt[2:12, 15:27] = 2
+        gt[16:28, 4:26] = 3
+        pred = gt.copy()
+        # a pixel of object 1 moves into the gap between objects 1 and 2
+        pred[2, 2] = 0
+        pred[6, 12] = 1
+        want = (unpruned_obj_hd(pred, gt), unpruned_obj_hd(gt, pred))
+        calls = []
+        hausdorff = metrics._hausdorff
+        monkeypatch.setattr(metrics, "_hausdorff", lambda a, b: calls.append(1) or hausdorff(a, b))
+        assert (obj_hd(pred, gt), obj_hd(gt, pred)) == want
+        assert want[0] > 0 and len(calls) == 2
+
+    def test_identical_maps_build_no_boundary(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an identical pair was measured")
+
+        m = synth("random-voronoi", (48, 40), 2)
+        monkeypatch.setattr(metrics, "_boundaries", refuse)
+        monkeypatch.setattr(metrics, "_hausdorff", refuse)
+        record = evaluate(m, m)
+        assert (record["obj_f1"], record["obj_dice"], record["obj_hd"]) == (1.0, 1.0, 0.0)
 
     @given(
         st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1, max_size=40),
