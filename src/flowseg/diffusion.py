@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from .grid import GridShape, _csr_index_dtype, disk, stencil_offsets
+from .grid import GridShape, _csr_index_dtype, _on_two_threads, disk, stencil_offsets
 
 
 def _same_label_operator(lab: np.ndarray, radius: int):
@@ -74,23 +72,12 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
     # plane 0 on a second thread, plane 1 here (scipy's product releases the GIL)
     out = np.empty((shape.n_nodes, 2))
     starts = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
-    failed = []
 
     def iterate(plane):
-        try:
-            start = coords = starts[plane].astype(np.float64)
-            for _ in range(iters):
-                coords = np.where(movable, (op @ coords) / denom, coords)
-            out[:, plane] = coords - start
-        except BaseException as exc:  # left in a thread, it would only be printed
-            failed.append(exc)
+        start = coords = starts[plane].astype(np.float64)
+        for _ in range(iters):
+            coords = np.where(movable, (op @ coords) / denom, coords)
+        out[:, plane] = coords - start
 
-    worker = threading.Thread(target=iterate, args=(0,))
-    worker.start()
-    try:
-        iterate(1)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    _on_two_threads(iterate, (0, 1))
     return out.reshape(shape.h, shape.w, 2)

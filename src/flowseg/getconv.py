@@ -12,6 +12,16 @@ directional derivative, used by the finite-difference checks. Both are built
 from the same private primitives (query perceptron, edge weights,
 standardization, residual update), each of which takes an optional tangent,
 so the primal half of every JVP is the forward's own arithmetic.
+
+The costly steps run on two threads, and every output is the one-thread
+output bit for bit. The edge weights, the depthwise convolution and the
+aggregation (:func:`~flowseg.grid.stencil_sum`) are row-wise: they split by
+rows, and each block of rows writes only its own rows of an output allocated
+before the threads start, so no sum crosses a block or a thread. The query
+perceptron's BLAS products are never split, since BLAS picks its kernel by
+the matrix sizes; in a JVP, the tangent's products run beside the primal's.
+Normalization and the residual stay on the calling thread: they are bound by
+memory traffic, and a mean split by rows would sum in another order.
 """
 
 from __future__ import annotations
@@ -20,7 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridAdjacency, GridShape, NeighborhoodSpec, grid_adjacency, stencil_sum
+from .grid import (
+    GridAdjacency,
+    GridShape,
+    NeighborhoodSpec,
+    _on_two_threads,
+    _row_blocks,
+    grid_adjacency,
+    stencil_sum,
+)
 
 EXP_CLAMP = 30.0
 PARAM_SCALE = 0.5  # standard deviation of random query, key and kernel weights
@@ -87,14 +105,28 @@ def random_iso_params(rng: np.random.Generator, channels: int) -> IsoParams:
 
 
 def _query(z, dz, params):
-    """Query perceptron and, when ``dz`` is given, its derivative along ``dz``."""
+    """Query perceptron and, when ``dz`` is given, its derivative along ``dz``.
+
+    Each product is one BLAS call on the whole array: BLAS picks its kernel by
+    the matrix sizes, so a block of rows can round differently from the same
+    rows of the whole (at 2,173 nodes, C=33 and disk(5), it does). The
+    tangent's products run on a second thread, into arrays allocated here."""
     pre = z @ params.w1
     pre += params.b1
-    q = np.maximum(pre, 0.0) @ params.w2
-    q += params.b2
-    if dz is None:
-        return q, None
-    return q, np.where(pre > 0, dz @ params.w1, 0.0) @ params.w2
+    q = np.empty((len(z), params.w2.shape[1]))
+    dq, dpre = (None, None) if dz is None else (np.empty_like(q), np.empty_like(pre))
+
+    def primal():
+        np.matmul(np.maximum(pre, 0.0), params.w2, out=q)
+        np.add(q, params.b2, out=q)
+
+    def tangent():
+        np.matmul(dz, params.w1, out=dpre)
+        np.copyto(dpre, 0.0, where=~(pre > 0))
+        np.matmul(dpre, params.w2, out=dq)
+
+    _on_two_threads(lambda task: task(), [primal] if dz is None else [tangent, primal])
+    return q, dq
 
 
 def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
@@ -115,27 +147,50 @@ def _require_finite(x, what):
     return x
 
 
-def _pair_sum(x, adj):
-    # x[i, c] + x[j, recip[c]] for j = nbr_safe[i, c], with no second temporary
-    out = x[adj.nbr_safe, adj.recip]
-    out += x
-    return out
+def _check_tangent(tangent, primal):
+    """``tangent`` as float64, if finite and shaped like ``primal``."""
+    dx = np.asarray(tangent)
+    if dx.shape != primal.shape:
+        raise ValueError(f"tangent must be {primal.shape}, got {dx.shape}")
+    return _require_finite(dx, "tangent")
 
 
-def _edge_weights(e, de, adj):
-    """In place: ``e`` to ``exp(min(e, EXP_CLAMP))``, and ``de``, when given, to
-    the derivative along it, 0 on the clamp; both exactly +0.0 off the grid, as
-    :func:`stencil_sum` needs."""
+def _pair_sum(x, adj, rows, out):
+    # x[i, c] + x[j, recip[c]] for j = nbr_safe[i, c], i in rows, into out
+    return np.add(x[adj.nbr_safe[rows], adj.recip], x[rows], out=out)
+
+
+def _edge_weights(e, de, valid):
+    """In place on a block of rows: ``e`` to ``exp(min(e, EXP_CLAMP))``, and
+    ``de``, when given, to the derivative along it, 0 on the clamp; both
+    exactly +0.0 off the grid (``~valid``), as :func:`stencil_sum` needs."""
+    off = ~valid
     np.minimum(e, EXP_CLAMP, out=e)
     if de is not None:
         # zeroed before the product, so that no clamped slot can overflow
         de[e == EXP_CLAMP] = 0.0
-        de[~adj.valid] = 0.0
+        de[off] = 0.0
     np.exp(e, out=e)
-    e[~adj.valid] = 0.0
+    e[off] = 0.0
     if de is not None:
         de *= e
-    return e, de
+
+
+def _pair_weights(q, dq, adj):
+    """Edge weights from slot queries ``q``, and their derivative along ``dq``
+    when given."""
+    s = np.empty(adj.nbr_safe.shape)
+    ds = None if dq is None else np.empty_like(s)
+
+    def block(rows):
+        _edge_weights(
+            _pair_sum(q, adj, rows, s[rows]),
+            None if dq is None else _pair_sum(dq, adj, rows, ds[rows]),
+            adj.valid[rows],
+        )
+
+    _on_two_threads(block, _row_blocks(*s.shape))
+    return s, ds
 
 
 def _check_queries(queries, adj):
@@ -154,8 +209,7 @@ def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     result is symmetric: ``s[i, c] == s[j, recip[c]]`` exactly. Non-finite
     queries are rejected.
     """
-    q = _check_queries(queries, adj)
-    return _edge_weights(_pair_sum(q, adj), None, adj)[0]
+    return _pair_weights(_check_queries(queries, adj), None, adj)[0]
 
 
 def diffusivity_jvp(queries, tangent, adj):
@@ -165,16 +219,16 @@ def diffusivity_jvp(queries, tangent, adj):
     where the clamp is active.
     """
     q = _check_queries(queries, adj)
-    dq = _require_finite(tangent, "tangent")
-    return _edge_weights(_pair_sum(q, adj), _pair_sum(dq, adj), adj)
+    return _pair_weights(q, _check_tangent(tangent, q), adj)
 
 
 def _confine(s, ds, clusters, adj):
     """In place, zero the weights in ``s`` and ``ds`` (when given) of every edge
-    between two clusters; return both and each cluster's rows, ascending, in
-    ascending id order. Without clusters, the one group is every row."""
+    between two clusters; return both, the rows ordered by cluster id (each
+    cluster's rows ascending) and the bounds of each cluster in that order.
+    Without clusters, the order is None and the one group is every row."""
     if clusters is None:
-        return s, ds, [slice(None)]
+        return s, ds, None, [0, adj.shape.n_nodes]
     cls = np.asarray(clusters).ravel()
     if cls.shape[0] != adj.shape.n_nodes:
         raise ValueError("cluster ids must cover all nodes")
@@ -188,33 +242,51 @@ def _confine(s, ds, clusters, adj):
             x[cut] = 0.0
     order = np.argsort(cls, kind="stable")
     ids = cls[order]
-    return s, ds, np.split(order, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+    return s, ds, order, np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, len(cls)]
 
 
-def _standardize(x, dx, groups):
+def _standardize(x, dx, order, bounds):
     """Per-channel zero-mean unit-variance over nodes (population variance,
     no epsilon), and its derivative along ``dx`` when given; a constant channel
-    standardizes to exactly 0. Statistics are taken within each group of rows,
-    and the groups must cover every row."""
-    out = np.empty_like(x)
-    dout = None if dx is None else np.empty_like(x)
-    for rows in groups:
-        sub = x[rows]
-        centered = sub - sub.mean(axis=0)
-        std = np.sqrt((centered**2).mean(axis=0))
+    standardizes to exactly 0. Statistics are taken within each group of rows
+    ``order[bounds[k]:bounds[k + 1]]`` (all rows in their order when ``order``
+    is None). Overwrites ``x`` and ``dx`` unless they are reordered first.
+
+    Every step is element-wise or a mean over all of a group's rows, which
+    reduces each column in row order. The steps are bound by memory traffic,
+    not arithmetic, so they run on the calling thread, in place, with one
+    scratch array for the squares and one for the products."""
+    if order is not None:
+        x = x[order]
+        dx = None if dx is None else dx[order]
+    sq = np.empty_like(x)
+    prod = None if dx is None else np.empty_like(x)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        c, t = x[a:b], sq[a:b]
+        c -= c.mean(axis=0)
+        std = np.sqrt(np.square(c, out=t).mean(axis=0))
         pos = std > 0
         safe = np.where(pos, std, 1.0)
         if dx is not None:
-            dsub = dx[rows]
-            dcentered = dsub - dsub.mean(axis=0)
-            dvar = 2.0 * (centered * dcentered).mean(axis=0)
-            dout[rows] = np.where(
-                pos, dcentered / safe - centered * dvar / (2.0 * safe**3), 0.0
-            )
-        centered /= safe
-        centered[:, ~pos] = 0.0
-        out[rows] = centered
-    return out, dout
+            dc, u = dx[a:b], prod[a:b]
+            dc -= dc.mean(axis=0)
+            dvar = 2.0 * np.multiply(c, dc, out=u).mean(axis=0)
+            # dc / safe - c * dvar / (2 safe^3), in the order of that expression
+            np.multiply(c, dvar, out=u)
+            u /= 2.0 * safe**3
+            dc /= safe
+            dc -= u
+            dc[:, ~pos] = 0.0
+        c /= safe
+        c[:, ~pos] = 0.0
+    if order is None:
+        return x, dx
+    out = np.empty_like(x)
+    out[order] = x
+    if dx is not None:
+        sq[order] = dx
+        dx = sq
+    return out, dx
 
 
 def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=None):
@@ -224,13 +296,22 @@ def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=N
     early."""
     s, ds = weights
     weights.clear()
-    s, ds, groups = _confine(s, ds, clusters, adj)
+    s, ds, order, bounds = _confine(s, ds, clusters, adj)
     agg = stencil_sum(s, feats, adj)
-    dagg = None if ds is None else stencil_sum(ds, feats, adj) + stencil_sum(s, dfeats, adj)
+    dagg = None
+    if ds is not None:
+        dagg = stencil_sum(ds, feats, adj)
+        dagg += stencil_sum(s, dfeats, adj)
     del s, ds
-    y, dy = _standardize(agg, dagg, groups)
-    out = res + y * params.gamma + params.beta
-    return out, None if dy is None else dres + dy * params.gamma
+    y, dy = _standardize(agg, dagg, order, bounds)
+    # in place: y * gamma + res is res + y * gamma, bit for bit
+    y *= params.gamma
+    y += res
+    y += params.beta
+    if dy is not None:
+        dy *= params.gamma
+        dy += dres
+    return y, dy
 
 
 def _check_forward_input(feats, adj):
@@ -265,7 +346,7 @@ def getconv_forward(
 
 def getconv_forward_jvp(feats, tangent, adj, params, clusters=None):
     z = _check_forward_input(feats, adj)
-    dz = _require_finite(tangent, "tangent")
+    dz = _check_tangent(tangent, z)
     weights = list(diffusivity_jvp(*_query(z, dz, params), adj))
     return _update(z, z, weights, adj, params, clusters, dres=dz, dfeats=dz)
 
@@ -275,7 +356,9 @@ def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     ``kernels`` is (C, k, k) with k odd, and ``kernels[ch, dr + k//2,
     dc + k//2]`` weights the input at offset (dr, dc). The sum runs over the
-    k*k shifted slices of the zero-padded (h, w, C) input in raster order.
+    k*k shifted slices of the zero-padded (h, w, C) input in raster order, by
+    blocks of output rows on two threads, each block small enough to stay in
+    cache across the k*k slices.
     """
     img = np.asarray(grid_feats, dtype=np.float64)
     ker = np.asarray(kernels, dtype=np.float64)
@@ -288,8 +371,13 @@ def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     half = k // 2
     padded = np.pad(img, ((half, half), (half, half), (0, 0)))
     out = np.zeros_like(img)
-    for a, b in np.ndindex(ker.shape[1:]):
-        out += ker[:, a, b] * padded[a : a + h, b : b + w]
+
+    def block(rows):
+        o = out[rows]
+        for a, b in np.ndindex(ker.shape[1:]):
+            o += ker[:, a, b] * padded[rows.start + a : rows.stop + a, b : b + w]
+
+    _on_two_threads(block, _row_blocks(h, w * cdim))
     return out
 
 
@@ -326,7 +414,7 @@ def getblock_forward(
 
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
     grid, z, adj = _check_block_input(grid_feats, spec, params)
-    dgrid = _require_finite(tangent, "tangent")
+    dgrid = _check_tangent(tangent, grid)
     mixed, dmixed = (
         pointwise(depthwise(x, params.dw), params.pw).reshape(z.shape) for x in (grid, dgrid)
     )
@@ -342,7 +430,8 @@ def _iso_weights(z, dz, adj, params):
     their derivative along ``dz`` when given."""
     e = (z @ params.wq + params.bq)[:, None] + (z @ params.wk + params.bk)[adj.nbr_safe]
     de = None if dz is None else (dz @ params.wq)[:, None] + (dz @ params.wk)[adj.nbr_safe]
-    return _edge_weights(e, de, adj)
+    _edge_weights(e, de, adj.valid)
+    return e, de
 
 
 def isotropic_attention_forward(
@@ -361,5 +450,5 @@ def isotropic_attention_forward(
 
 def isotropic_attention_forward_jvp(feats, tangent, adj, params):
     z = _check_forward_input(feats, adj)
-    dz = _require_finite(tangent, "tangent")
+    dz = _check_tangent(tangent, z)
     return _update(z, z, list(_iso_weights(z, dz, adj, params)), adj, params, dres=dz, dfeats=dz)

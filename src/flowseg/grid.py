@@ -14,6 +14,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,16 +142,68 @@ def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
     return np.int32 if n_nodes * n_slots < 2**31 else np.int64
 
 
+_BLOCK_ENTRIES = 512 * 80  # per block of rows: its temporaries stay near 320 KB
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices covering ``range(n)`` for steps whose temporaries hold ``width``
+    entries per row: blocks of ``_BLOCK_ENTRIES // width`` rows, the last one
+    taking the remainder, so no block but a lone one is shorter."""
+    rows = max(1, _BLOCK_ENTRIES // max(width, 1))
+    starts = list(range(0, max(n - rows, 0) + 1, rows))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _on_two_threads(fn, blocks) -> None:
+    """Call ``fn(block)`` for every block: the first half of the blocks, in
+    order, on one started thread, the rest here. The first exception from
+    either thread is raised once both are done, and no thread outlives the
+    call. ``fn`` must write only its own block's share of the output."""
+    blocks = list(blocks)
+    half = len(blocks) // 2
+    failed = []
+
+    def run(part):
+        try:
+            for block in part:
+                fn(block)
+        except BaseException as exc:  # left in a thread, it would only be printed
+            failed.append(exc)
+
+    worker = threading.Thread(target=run, args=(blocks[:half],)) if half else None
+    if worker is not None:
+        worker.start()
+    try:
+        run(blocks[half:])
+    finally:
+        if worker is not None:
+            worker.join()
+    if failed:
+        raise failed[0]
+
+
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
     weights, 0 on every off-grid slot, and (N, C) finite features.
 
-    The operator is a CSR view of both whole tables, with no copy: an off-grid
-    slot is an entry at column 0 that adds +0.0 to its row. Each row sums from
-    zero in slot order, so the result is the in-grid sum bit for bit."""
+    The rows run in two halves, one per thread. Each half is a CSR view of
+    its rows of both tables, with no copy (scipy would copy a view of less
+    than half of its base): an off-grid slot is an entry at column 0 that adds
+    +0.0 to its row. Each row sums from zero in slot order, so the result is
+    the in-grid sum bit for bit, and each half fills only its own rows of the
+    output, so no sum crosses the threads."""
     from scipy import sparse
 
     n, n_slots = adj.nbr_safe.shape
-    indptr = n_slots * np.arange(n + 1, dtype=adj.nbr_safe.dtype)
-    op = sparse.csr_array((weights.ravel(), adj.nbr_safe.ravel(), indptr), shape=(n, n))
-    return op @ feats
+    # scipy ravels the features for every product: one copy here at most
+    feats = np.ascontiguousarray(feats)
+    out = np.empty((n,) + feats.shape[1:], np.result_type(weights, feats))
+
+    def half(rows):
+        m = rows.stop - rows.start
+        indptr = n_slots * np.arange(m + 1, dtype=adj.nbr_safe.dtype)
+        data, cols = weights[rows].ravel(), adj.nbr_safe[rows].ravel()
+        out[rows] = sparse.csr_array((data, cols, indptr), shape=(m, n)) @ feats
+
+    _on_two_threads(half, [slice(0, n // 2), slice(n // 2, n)])
+    return out

@@ -1,10 +1,13 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowseg.getconv
+import flowseg.grid
 from flowseg.getconv import (
     IsoParams,
     LayerParams,
@@ -21,7 +24,15 @@ from flowseg.getconv import (
     random_iso_params,
     random_layer_params,
 )
-from flowseg.grid import GridShape, disk, grid_adjacency, square, stencil_sum
+from flowseg.grid import (
+    GridShape,
+    _on_two_threads,
+    _row_blocks,
+    disk,
+    grid_adjacency,
+    square,
+    stencil_sum,
+)
 from oracles import (
     oracle_depthwise,
     oracle_diffusivity,
@@ -247,31 +258,38 @@ class TestNonFiniteInput:
             getblock_forward_jvp(z, np.ones_like(z), square(3), params)
 
 
-def _bad_tangent_jvps():
-    """Each JVP with finite inputs and a tangent holding ``bad`` at one entry."""
+def _tangent_jvps():
+    """Each JVP with finite inputs as a function of its tangent, and the shape
+    that tangent must have."""
     rng = np.random.default_rng(22)
     adj = grid_adjacency(GridShape(4, 4), square(3))
     z = rng.normal(size=(16, 3))
     params = random_layer_params(rng, 3, adj.n_slots, kernel=3)
     iso = random_iso_params(rng, 3)
-
-    def tangent(bad, shape):
-        t = np.ones(shape)
-        t.flat[0] = bad  # node 0: the column every off-grid slot points at
-        return t
-
+    q = query_messages(z, params)
     return {
-        "diffusivity": lambda bad: diffusivity_jvp(
-            query_messages(z, params), tangent(bad, (16, 8)), adj
+        "diffusivity": (lambda t: diffusivity_jvp(q, t, adj), (16, 8)),
+        "getconv": (lambda t: getconv_forward_jvp(z, t, adj, params), z.shape),
+        "getblock": (
+            lambda t: getblock_forward_jvp(z.reshape(4, 4, 3), t, square(3), params),
+            (4, 4, 3),
         ),
-        "getconv": lambda bad: getconv_forward_jvp(z, tangent(bad, z.shape), adj, params),
-        "getblock": lambda bad: getblock_forward_jvp(
-            z.reshape(4, 4, 3), tangent(bad, (4, 4, 3)), square(3), params
-        ),
-        "isotropic": lambda bad: isotropic_attention_forward_jvp(
-            z, tangent(bad, z.shape), adj, iso
-        ),
+        "isotropic": (lambda t: isotropic_attention_forward_jvp(z, t, adj, iso), z.shape),
     }
+
+
+def _bad_tangent_jvps():
+    """Each JVP with finite inputs and a tangent holding ``bad`` at one entry."""
+
+    def with_bad(jvp, shape):
+        def call(bad):
+            t = np.ones(shape)
+            t.flat[0] = bad  # node 0: the column every off-grid slot points at
+            return jvp(t)
+
+        return call
+
+    return {name: with_bad(*entry) for name, entry in _tangent_jvps().items()}
 
 
 class TestEmptyTables:
@@ -315,6 +333,26 @@ def test_jvp_rejects_a_non_finite_tangent(jvp, bad):
     # an off-grid slot's 0.0 weight times an inf at node 0 would be NaN
     with pytest.raises(ValueError, match="tangent must be finite"):
         _bad_tangent_jvps()[jvp](bad)
+
+
+def _refuse_threads(monkeypatch):
+    def refuse(fn, blocks):
+        raise AssertionError("work started before the tangent was checked")
+
+    for module in (flowseg.grid, flowseg.getconv):
+        monkeypatch.setattr(module, "_on_two_threads", refuse)
+
+
+@pytest.mark.parametrize("jvp", sorted(_bad_tangent_jvps()))
+@pytest.mark.parametrize("shape", ["(1, C)", "(C,)", "transposed"])
+def test_jvp_rejects_a_wrongly_shaped_tangent(monkeypatch, jvp, shape):
+    # a short tangent read by row blocks could pass as empty slices; each JVP
+    # must refuse it with its own message before any work starts
+    call, want = _tangent_jvps()[jvp]
+    bad = {"(1, C)": (1, want[-1]), "(C,)": (want[-1],), "transposed": want[::-1]}[shape]
+    _refuse_threads(monkeypatch)
+    with pytest.raises(ValueError, match=r"tangent must be \(" + ", ".join(map(str, want))):
+        call(np.ones(bad))
 
 
 class TestGetblockForward:
@@ -516,3 +554,157 @@ def test_layer_peak_memory_in_edge_table_units(jvp, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * z.shape[0] * adj.n_slots * 8
+
+
+def _serial(fn, blocks):
+    for block in blocks:
+        fn(block)
+
+
+def _layer_outputs(h, w, channels, spec, seed=30):
+    """Every layer output and tangent on an h x w grid, as a flat list."""
+    rng = np.random.default_rng(seed)
+    adj = grid_adjacency(GridShape(h, w), spec)
+    z, dz = rng.normal(size=(h * w, channels)), rng.normal(size=(h * w, channels))
+    params = random_layer_params(rng, channels, adj.n_slots)
+    block = random_layer_params(rng, channels, 8, kernel=3)
+    iso = random_iso_params(rng, channels)
+    clusters = rng.integers(0, 4, size=h * w)
+    q, dq = query_messages(z, params), rng.normal(size=(h * w, adj.n_slots))
+    out = [
+        q,
+        diffusivity(q, adj),
+        *diffusivity_jvp(q, dq, adj),
+        getconv_forward(z, adj, params),
+        *getconv_forward_jvp(z, dz, adj, params),
+        getconv_forward(z, adj, params, clusters=clusters),
+        *getconv_forward_jvp(z, dz, adj, params, clusters=clusters),
+        isotropic_attention_forward(z, adj, iso),
+        *isotropic_attention_forward_jvp(z, dz, adj, iso),
+    ]
+    if channels:  # an (h, w, 0) grid does not reshape to (N, 0)
+        grid, dgrid = z.reshape(h, w, channels), dz.reshape(h, w, channels)
+        out += [getblock_forward(grid, square(3), block)]
+        out += getblock_forward_jvp(grid, dgrid, square(3), block)
+    return out
+
+
+@pytest.mark.parametrize(
+    "h, w, channels, spec",
+    [
+        (41, 53, 8, disk(5)),  # N odd, four blocks of edge-table rows
+        (101, 103, 8, square(3)),  # narrow tables: two blocks of 5,120 rows
+        (9, 11, 8, disk(2)),  # N smaller than one block
+        (1, 2, 4, square(3)),  # N = 2
+        (33, 40, 0, square(3)),  # no channels
+        (33, 40, 1, square(3)),  # one channel
+        (33, 40, 5, square(1)),  # zero-slot stencil
+    ],
+    ids=["N odd", "narrow", "one block", "N=2", "C=0", "C=1", "no slots"],
+)
+def test_two_threads_bit_identical_to_serial(monkeypatch, h, w, channels, spec):
+    threaded = _layer_outputs(h, w, channels, spec)
+    for module in (flowseg.grid, flowseg.getconv):
+        monkeypatch.setattr(module, "_on_two_threads", _serial)
+    serial = _layer_outputs(h, w, channels, spec)
+    assert len(threaded) == len(serial)
+    for got, want in zip(threaded, serial):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("width, rows", [(80, 512), (8, 5120), (0, 40960), (10**6, 1)])
+def test_row_blocks_cover_every_row_once(width, rows):
+    for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1, 5 * rows + 3):
+        blocks = _row_blocks(n, width)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert min(sizes) >= min(n, rows) and max(sizes) < max(2 * rows, 2)
+
+
+def test_queries_are_whole_array_products():
+    # BLAS picks its kernel by the matrix sizes: at this shape a block of 512
+    # rows rounds some queries differently from the same rows of the whole
+    rng = np.random.default_rng(31)
+    adj = grid_adjacency(GridShape(41, 53), disk(5))
+    z, dz = rng.normal(size=(41 * 53, 33)), rng.normal(size=(41 * 53, 33))
+    params = random_layer_params(rng, 33, adj.n_slots)
+    pre = z @ params.w1 + params.b1
+    q, dq = flowseg.getconv._query(z, dz, params)
+    np.testing.assert_array_equal(q, np.maximum(pre, 0.0) @ params.w2 + params.b2)
+    np.testing.assert_array_equal(dq, np.where(pre > 0, dz @ params.w1, 0.0) @ params.w2)
+    np.testing.assert_array_equal(query_messages(z, params), q)
+
+
+def test_layer_reentrant_from_two_threads():
+    # two outer calls make four threads on the blocks, more than the cores,
+    # and a short switch interval interleaves them as often as it can
+    want = _layer_outputs(41, 53, 8, disk(5))
+    before = threading.active_count()
+    got = [None, None]
+
+    def call(k):
+        got[k] = _layer_outputs(41, 53, 8, disk(5))
+
+    outer = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in outer:
+            t.start()
+        for t in outer:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in outer)
+    assert threading.active_count() == before
+    for outputs in got:
+        for a, b in zip(outputs, want):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("on_caller", [False, True], ids=["worker block", "caller block"])
+def test_failing_block_raises_and_leaves_no_thread(on_caller):
+    boom = RuntimeError("block failed")
+    blocks = _row_blocks(2173, 80)
+    failing = blocks[-1] if on_caller else blocks[0]
+    done = []
+
+    def fn(rows):
+        if rows == failing:
+            raise boom
+        done.append(rows)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        _on_two_threads(fn, blocks)
+    assert info.value is boom
+    assert threading.active_count() == before
+    # the other thread's blocks still ran to the end
+    assert (blocks[0] in done) == on_caller and (blocks[-1] in done) != on_caller
+
+
+@pytest.mark.parametrize("on_caller", [False, True], ids=["worker thread", "caller thread"])
+def test_layer_failing_on_one_thread_raises_and_leaves_no_thread(monkeypatch, on_caller):
+    # an exception in either thread must reach the caller, not come out as
+    # edge weights with some rows never written
+    boom = RuntimeError("edge weights failed")
+    caller = threading.get_ident()
+    weights = flowseg.getconv._edge_weights
+
+    def failing(e, de, valid):
+        if (threading.get_ident() == caller) == on_caller:
+            raise boom
+        weights(e, de, valid)
+
+    monkeypatch.setattr(flowseg.getconv, "_edge_weights", failing)
+    rng = np.random.default_rng(32)
+    adj = grid_adjacency(GridShape(41, 53), disk(5))
+    z = rng.normal(size=(41 * 53, 4))
+    params = random_layer_params(rng, 4, adj.n_slots)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        getconv_forward(z, adj, params)
+    assert info.value is boom
+    assert threading.active_count() == before
