@@ -394,7 +394,7 @@ def _check_block_input(grid_feats, spec, params):
         raise ValueError("block forward needs dw and pw kernels")
     h, w, cdim = grid.shape
     adj = grid_adjacency(GridShape(h, w), spec)
-    return grid, _check_forward_input(grid.reshape(-1, cdim), adj), adj
+    return grid, _check_forward_input(grid.reshape(h * w, cdim), adj), adj
 
 
 def getblock_forward(

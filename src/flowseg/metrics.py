@@ -21,22 +21,24 @@ background). Conventions, declared once and used by every metric:
 
 Maps must hold non-negative integer ids. A public metric extracts each map's
 objects and their overlap matrix once, and ``evaluate`` extracts them once for
-all four of its calls. Boundaries come from one pass over each map, and the
-Hausdorff distance is exact: squared distances of integer pixel coordinates
-need no rounding. Two objects that are the same pixel set are at distance 0 and
-need no boundary, so ``evaluate(m, m)`` builds none. For any other pair, each
-boundary has a ball (centre ``c``, radius ``r`` plus 1 px of slack) holding all
-its points. When the distances of the wider ball's boundary points to the
-narrower ball's ``c`` spread over at least that ball's ``2 r``, the wider
-boundary's directed distance is the symmetric one, and only its points within
-``2 r`` of the largest such distance can attain it (proof at ``_hausdorff``):
-only those are measured. Otherwise the full product is taken.
+all four of its calls. Each directional sum adds the per-object contributions
+one at a time in raster order of the objects, starting from 0.0, so every score
+equals the brute-force oracle's bit for bit. Boundaries come from one pass over
+each map, and the Hausdorff distance is exact: squared distances of integer
+pixel coordinates need no rounding. Two objects that are the same pixel set are
+at distance 0 and need no boundary, so ``evaluate(m, m)`` builds none. For any
+other pair, each boundary has a ball (centre ``c``, radius ``r`` plus 1 px of
+slack) holding all its points. When the distances of the wider ball's boundary
+points to the narrower ball's ``c`` spread over at least that ball's ``2 r``,
+the wider boundary's directed distance is the symmetric one, and only its
+points within ``2 r`` of the largest such distance can attain it (proof at
+``_hausdorff``): only those are measured. Otherwise the full product is taken.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +73,15 @@ def _extract(m: np.ndarray) -> _ObjectSet:
     return _ObjectSet(ids=uniq[fg][order], index=index, areas=counts[fg][order])
 
 
-def _overlap_matrix(gt: _ObjectSet, pred: _ObjectSet) -> np.ndarray:
-    both = (gt.index >= 0) & (pred.index >= 0)
-    keys = gt.index[both] * pred.count + pred.index[both]
-    counts = np.bincount(keys, minlength=gt.count * pred.count)
-    return counts.reshape(gt.count, pred.count)
-
-
 def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple[_ObjectSet, _ObjectSet, np.ndarray]:
     """Object sets of both maps and their (n_gt, n_pred) overlap matrix."""
     g, p = _extract(gt), _extract(pred)
     if g.index.shape != p.index.shape:
         raise ValueError("prediction and ground truth shapes differ")
-    return g, p, _overlap_matrix(g, p)
+    both = (g.index >= 0) & (p.index >= 0)
+    keys = g.index[both] * p.count + p.index[both]
+    counts = np.bincount(keys, minlength=g.count * p.count)
+    return g, p, counts.reshape(g.count, p.count)
 
 
 @dataclass
@@ -95,10 +93,7 @@ class MatchReport:
     fn: int
     gt_ids: list[int]
     pred_ids: list[int]
-    matched_pred: list[int | None]          # per GT object, raster order
-    overlaps: np.ndarray = field(repr=False)  # (n_gt, n_pred) pixel counts
-    gt_areas: np.ndarray = field(repr=False)
-    pred_areas: np.ndarray = field(repr=False)
+    matched_pred: list[int | None]  # per GT object, raster order
 
 
 def match_objects(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> MatchReport:
@@ -114,12 +109,9 @@ def match_objects(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> MatchRep
         tp=hit.size,
         fp=p.count - hit.size,
         fn=g.count - hit.size,
-        gt_ids=[int(i) for i in g.ids],
-        pred_ids=[int(i) for i in p.ids],
+        gt_ids=g.ids.tolist(),
+        pred_ids=p.ids.tolist(),
         matched_pred=[int(p.ids[j]) if j >= 0 else None for j in matched],
-        overlaps=overlap,
-        gt_areas=g.areas,
-        pred_areas=p.areas,
     )
 
 
@@ -138,6 +130,11 @@ def _best_counterparts(overlap: np.ndarray) -> np.ndarray:
     return np.where(overlap.max(axis=1) > 0, overlap.argmax(axis=1), -1)
 
 
+def _ordered_sum(terms: np.ndarray) -> float:
+    """0.0 plus each term in turn, as a loop adds them (``np.sum`` pairs them)."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
+
+
 def obj_dice(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Area-weighted symmetric object Dice; unmatched objects contribute 0."""
     g, p, overlap = _paired or _pair(pred, gt)
@@ -145,26 +142,14 @@ def obj_dice(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return 1.0
     if g.count == 0 or p.count == 0:
         return 0.0
-    gt_total = g.areas.sum()
-    pred_total = p.areas.sum()
 
-    def one_side(areas, other_areas, ov, total):
+    def one_side(areas, other_areas, ov):
         best = _best_counterparts(ov)
-        acc = 0.0
-        for i in range(len(areas)):
-            j = best[i]
-            if j < 0:
-                continue
-            acc += (areas[i] / total) * 2.0 * ov[i, j] / (areas[i] + other_areas[j])
-        return acc
+        i = np.flatnonzero(best >= 0)
+        j = best[i]
+        return _ordered_sum(areas[i] / areas.sum() * 2.0 * ov[i, j] / (areas[i] + other_areas[j]))
 
-    return float(
-        0.5
-        * (
-            one_side(g.areas, p.areas, overlap, gt_total)
-            + one_side(p.areas, g.areas, overlap.T, pred_total)
-        )
-    )
+    return 0.5 * (one_side(g.areas, p.areas, overlap) + one_side(p.areas, g.areas, overlap.T))
 
 
 def _boundaries(objs: _ObjectSet) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -257,21 +242,16 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def one_side(n_self, areas, total, ov, pair_hd, n_other):
-        acc = 0.0
-        best = _best_counterparts(ov)
-        for i in range(n_self):
-            j = best[i]
-            if j < 0:
-                j = min(range(n_other), key=lambda jj: pair_hd(i, jj))
-            acc += (areas[i] / total) * pair_hd(i, j)
-        return acc
+    def one_side(areas, ov, pair_hd, n_other):
+        dist = [
+            pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
+            for i, j in enumerate(_best_counterparts(ov))
+        ]
+        return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.count, g.areas, g.areas.sum(), overlap, hd, p.count)
-    pred_side = one_side(
-        p.count, p.areas, p.areas.sum(), overlap.T, lambda j, i: hd(i, j), g.count
-    )
-    return float(0.5 * (gt_side + pred_side))
+    gt_side = one_side(g.areas, overlap, hd, p.count)
+    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), g.count)
+    return 0.5 * (gt_side + pred_side)
 
 
 def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
@@ -283,6 +263,7 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
     with that match).
     """
     paired = _pair(pred, gt)
+    g, _, overlap = paired
     rep = match_objects(pred, gt, _paired=paired)
     # a match covers a strict majority of its object, so no other prediction
     # overlaps that object as much: the shared pixels are the row's maximum
@@ -293,8 +274,9 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
             "gt_area": int(area),
             "overlap": 0 if pid is None else int(row.max()),
         }
-        for gid, pid, area, row in zip(rep.gt_ids, rep.matched_pred, rep.gt_areas, rep.overlaps)
+        for gid, pid, area, row in zip(rep.gt_ids, rep.matched_pred, g.areas, overlap)
     ]
+    # the public names, not private helpers, so that a traced run times each metric
     return {
         "obj_f1": obj_f1(pred, gt, _paired=paired),
         "obj_dice": obj_dice(pred, gt, _paired=paired),

@@ -313,6 +313,17 @@ class TestEmptyTables:
         params = random_layer_params(np.random.default_rng(24), 0, adj.n_slots)
         assert getconv_forward(np.zeros((16, 0)), adj, params).shape == (16, 0)
 
+    def test_zero_channel_block(self):
+        params = random_layer_params(np.random.default_rng(26), 0, 8, kernel=3)
+        z = np.zeros((7, 9, 0))
+        assert getblock_forward(z, square(3), params).shape == (7, 9, 0)
+
+    def test_zero_channel_block_jvp(self):
+        params = random_layer_params(np.random.default_rng(26), 0, 8, kernel=3)
+        z = np.zeros((7, 9, 0))
+        primal, tangent = getblock_forward_jvp(z, z, square(3), params)
+        assert primal.shape == tangent.shape == (7, 9, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_still_rejects_non_finite(self, bad):
         rng = np.random.default_rng(25)

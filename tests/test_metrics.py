@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,15 @@ def two_object_map():
     m[2:6, 2:6] = 3
     m[9:14, 8:15] = 7
     return m
+
+
+def one_prediction_over_two_objects():
+    gt = np.zeros((8, 12), dtype=np.int64)
+    gt[2:6, 1:5] = 4
+    gt[2:6, 6:10] = 2   # same area as id 4, later in raster order
+    pred = np.zeros_like(gt)
+    pred[2:6, 1:10] = 7  # covers all of both
+    return pred, gt
 
 
 class TestObjF1:
@@ -52,12 +63,7 @@ class TestObjF1:
         assert obj_f1(pred, gt) == pytest.approx(2 / 3)
 
     def test_one_prediction_covering_two_objects_matches_the_first(self):
-        gt = np.zeros((8, 12), dtype=np.int64)
-        gt[2:6, 1:5] = 4
-        gt[2:6, 6:10] = 2   # same area as id 4, later in raster order
-        pred = np.zeros_like(gt)
-        pred[2:6, 1:10] = 7  # covers all of both
-        rep = match_objects(pred, gt)
+        rep = match_objects(*one_prediction_over_two_objects())
         assert (rep.tp, rep.fp, rep.fn) == (1, 0, 1)
         assert rep.matched_pred == [7, None]
 
@@ -322,13 +328,18 @@ class TestInvariances:
         assert obj_hd(pred, gt) >= 0.0
 
 
+def assert_equals_oracles(pred, gt):
+    """Each metric sums its objects in the oracle's order, so the scores are
+    the same floats, not merely close ones."""
+    assert obj_f1(pred, gt) == metric_obj_f1(pred, gt)
+    assert obj_dice(pred, gt) == metric_obj_dice(pred, gt)
+    assert obj_hd(pred, gt) == metric_obj_hd(pred, gt)
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
-        pred, gt = random_instance_pair(np.random.default_rng(seed), 16, 16)
-        assert obj_f1(pred, gt) == pytest.approx(metric_obj_f1(pred, gt), abs=1e-9)
-        assert obj_dice(pred, gt) == pytest.approx(metric_obj_dice(pred, gt), abs=1e-9)
-        assert obj_hd(pred, gt) == pytest.approx(metric_obj_hd(pred, gt), abs=1e-9)
+        assert_equals_oracles(*random_instance_pair(np.random.default_rng(seed), 16, 16))
 
     # objects that touch each other and the grid border on every side
     @pytest.mark.parametrize("change", ["shift", "merge"])
@@ -340,9 +351,16 @@ class TestOracleAgreement:
         else:
             first, second = np.unique(gt[gt > 0])[:2]
             pred = np.where(gt == second, first, gt)
-        assert obj_f1(pred, gt) == pytest.approx(metric_obj_f1(pred, gt), abs=1e-9)
-        assert obj_dice(pred, gt) == pytest.approx(metric_obj_dice(pred, gt), abs=1e-9)
-        assert obj_hd(pred, gt) == pytest.approx(metric_obj_hd(pred, gt), abs=1e-9)
+        assert_equals_oracles(pred, gt)
+
+    # 15 objects per side: a pairwise sum of the contributions rounds
+    # differently from the oracle's loop on some of these
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shifted_voronoi(self, seed):
+        gt = synth("random-voronoi", (96, 96), seed)
+        pred = np.zeros_like(gt)
+        pred[:, 2:] = gt[:, :-2]
+        assert_equals_oracles(pred, gt)
 
 
 class TestEvaluate:
@@ -364,6 +382,19 @@ class TestEvaluate:
         record = evaluate(pred, gt)
         assert record["per_object"][1]["pred_id"] is None
         assert record["per_object"][1]["overlap"] == 0
+
+    def test_one_prediction_over_two_objects(self):
+        record = evaluate(*one_prediction_over_two_objects())
+        assert record["per_object"] == [
+            {"gt_id": 4, "pred_id": 7, "gt_area": 16, "overlap": 16},
+            {"gt_id": 2, "pred_id": None, "gt_area": 16, "overlap": 0},
+        ]
+
+    def test_match_report_holds_only_the_detection(self):
+        rep = match_objects(*random_instance_pair(np.random.default_rng(0), 12, 12))
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "tp", "fp", "fn", "gt_ids", "pred_ids", "matched_pred"
+        ]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
