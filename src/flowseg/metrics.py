@@ -21,18 +21,30 @@ background). Conventions, declared once and used by every metric:
 
 Maps must hold non-negative integer ids. A public metric extracts each map's
 objects and their overlap matrix once, and ``evaluate`` extracts them once for
-all four of its calls. Each directional sum adds the per-object contributions
-one at a time in raster order of the objects, starting from 0.0, so every score
-equals the brute-force oracle's bit for bit. Boundaries come from one pass over
-each map, and the Hausdorff distance is exact: squared distances of integer
-pixel coordinates need no rounding. Two objects that are the same pixel set are
-at distance 0 and need no boundary, so ``evaluate(m, m)`` builds none. For any
-other pair, each boundary has a ball (centre ``c``, radius ``r`` plus 1 px of
-slack) holding all its points. When the distances of the wider ball's boundary
-points to the narrower ball's ``c`` spread over at least that ball's ``2 r``,
-the wider boundary's directed distance is the symmetric one, and only its
-points within ``2 r`` of the largest such distance can attain it (proof at
-``_hausdorff``): only those are measured. Otherwise the full product is taken.
+all four of its calls. Extraction sorts the values of the map's raster runs of
+equal ids, not every pixel: an object's area is the sum of its runs' lengths,
+and the index map repeats each run's object index over its length. Each
+directional sum adds the per-object contributions one at a time in raster
+order of the objects, starting from 0.0, so every score equals the brute-force
+oracle's bit for bit.
+
+Boundaries come from one pass over each map, which lifts every boundary point
+once into a "from" row [-2p, |p|², 1] and a "to" row [p, 1, |p|²]; a product of
+the two is the matrix of squared distances. The Hausdorff distance is exact:
+squared distances of integer pixel coordinates need no rounding. Two objects
+that are the same pixel set are at distance 0 and need no boundary, so
+``evaluate(m, m)`` builds none. For any other pair, each boundary has a ball
+(centre ``c``, radius ``r`` plus 1 px of slack) holding all its points. One
+product of the wider ball's "to" rows with the narrower ball's lifted centre
+gives the squared distances of its points to ``c``, exact for the metric's
+half-integer centres. When those distances spread over at least the narrower
+ball's ``2 r``, the wider boundary's directed distance is the symmetric one,
+and only its points within ``2 r`` of the largest such distance can attain it
+(proof at ``_hausdorff``): only those are measured, chosen by comparing the
+squares. Otherwise the full product is taken. An object with no overlapping
+counterpart measures only the counterparts whose distance bound from the two
+balls, ``|c_i - c_k| - r_i - r_k``, can reach the least ``|c_i - c_k| + r_i +
+r_k``.
 """
 
 from __future__ import annotations
@@ -60,17 +72,23 @@ def _extract(m: np.ndarray) -> _ObjectSet:
         raise ValueError(f"instance map must be 2-D, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"instance map must be integer, got dtype {a.dtype}")
-    uniq, first, inverse, counts = np.unique(
-        a.ravel(), return_index=True, return_inverse=True, return_counts=True
-    )
+    # the raster runs of equal ids: only their values are sorted, not every pixel
+    flat = a.ravel()
+    new_run = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(starts, append=flat.size)
+    uniq, first, inverse = np.unique(flat[starts], return_index=True, return_inverse=True)
     if uniq.size and uniq[0] < 0:
         raise ValueError("instance ids must be >= 0")
+    # float sums of run lengths are exact integers below 2**53
+    areas = np.bincount(inverse, weights=lengths, minlength=uniq.size).astype(np.intp)
     fg = uniq > 0
     order = np.argsort(first[fg], kind="stable")
     rank = np.full(len(uniq), -1, dtype=np.int64)
     rank[np.flatnonzero(fg)[order]] = np.arange(order.size)
-    index = rank[inverse].reshape(a.shape)
-    return _ObjectSet(ids=uniq[fg][order], index=index, areas=counts[fg][order])
+    index = np.repeat(rank[inverse], lengths).reshape(a.shape)
+    return _ObjectSet(ids=uniq[fg][order], index=index, areas=areas[fg][order])
 
 
 def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple[_ObjectSet, _ObjectSet, np.ndarray]:
@@ -152,10 +170,21 @@ def obj_dice(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     return 0.5 * (one_side(g.areas, p.areas, overlap) + one_side(p.areas, g.areas, overlap.T))
 
 
-def _boundaries(objs: _ObjectSet) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Per object, the (m, 2) coordinates of its boundary pixels (4-neighbor
-    rule) in raster order, from one pass over the whole index map, with the
-    centre and radius of a ball holding them all (radius plus 1 px of slack)."""
+def _lift(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "from" rows [-2p, |p|², 1] and the "to" rows [q, 1, |q|²] of (m, 2)
+    points: from(p) · to(q) = |p - q|²."""
+    x, y = pts.T
+    sq = x * x + y * y
+    one = np.ones(len(pts))
+    return np.stack([-2.0 * x, -2.0 * y, sq, one], axis=1), np.stack([x, y, one, sq], axis=1)
+
+
+def _boundaries(objs: _ObjectSet) -> list[tuple]:
+    """Per object, the entry (pts, centre, radius, frm, to): the (m, 2)
+    coordinates of its boundary pixels (4-neighbor rule) in raster order, from
+    one pass over the whole index map; the centre and radius of a ball holding
+    them all (radius plus 1 px of slack); and the points' ``_lift`` rows. Every
+    point is lifted once, and ``pts`` is a view of ``to``."""
     idx = np.pad(objs.index, 1, constant_values=-1)
     core = idx[1:-1, 1:-1]
     inner = (
@@ -167,23 +196,24 @@ def _boundaries(objs: _ObjectSet) -> list[tuple[np.ndarray, np.ndarray, float]]:
     rows, cols = np.nonzero((core >= 0) & ~inner)
     owner = core[rows, cols]
     order = np.argsort(owner, kind="stable")
-    pts = np.stack([rows[order], cols[order]], axis=1).astype(np.float64)
+    frm, to = _lift(np.stack([rows[order], cols[order]], axis=1).astype(np.float64))
+    pts = to[:, :2]
     # every object has a boundary pixel, so no run of points is empty
     counts = np.bincount(owner, minlength=objs.count)
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
     centre = (np.minimum.reduceat(pts, starts) + np.maximum.reduceat(pts, starts)) / 2
     off = pts - centre.repeat(counts, axis=0)
     radius = np.maximum.reduceat(np.hypot(*off.T), starts) + 1.0
-    return list(zip(np.split(pts, starts[1:]), centre, radius))
+    spans = zip(starts.tolist(), ends.tolist())
+    return [(pts[a:b], c, r, frm[a:b], to[a:b]) for (a, b), c, r in zip(spans, centre, radius)]
 
 
-def _sq_dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(m, n) squared distances of p's points to q's as one product of the
-    rows [-2p, |p|², 1] and the columns [q, 1, |q|²]; every term is an integer
-    below 2**53, so the result is exact whatever the summation order."""
-    lp = np.column_stack([-2.0 * p, (p * p).sum(axis=1), np.ones(len(p))])
-    lq = np.vstack([q.T, np.ones(len(q)), (q * q).sum(axis=1)])
-    return lp @ lq
+def _sq_dists(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances of m points to n points, from their ``_lift``
+    "from" and "to" rows; every term is an integer below 2**53, so the result
+    is exact whatever the summation order."""
+    return frm @ to.T
 
 
 def _hausdorff(a: tuple, b: tuple) -> float:
@@ -203,16 +233,30 @@ def _hausdorff(a: tuple, b: tuple) -> float:
 
     The mirror test, with A and B swapped, never holds: the distances of A's
     points to c_B spread over at most A's diameter, at most 2 (r_A - 1) <
-    2 r_B. The radius carries 1 px of slack, which absorbs the rounding of
-    the float distances in each bound.
+    2 r_B.
+
+    The proof holds for any radius rho of a ball about c_A that holds A, and
+    r_A - 1/2 is one: r_A carries 1 px of slack over A's largest distance to
+    c_A. All of B's e_b² come from one product of B's "to" rows with the
+    lifted centre [-2 c_A, |c_A|², 1]. The metric's centres are half-integers,
+    so that product is exact, and max e_b and min e_b are correctly rounded
+    square roots. A point is kept when e_b² >= (max e_b - 2 r_A)², both sides
+    non-negative in that branch. For any other centre, as a test may pass,
+    the product rounds: an e_b² near 0 can come out below 0 and is read as 0,
+    and each e_b is off by some eps far below 1/4 px. The slack absorbs it:
+    the test passes only if the true spread is at least 2 r_A - 2 eps >=
+    2 rho, and a dropped point has a true e_b below
+    max e_b - 2 r_A + 2 eps <= max e_b - 2 rho.
     """
-    (pa, ca, ra), (pb, _, _) = sorted((a, b), key=lambda entry: entry[2])
-    e = np.hypot(*(pb - ca).T)
+    (_, ca, ra, frm_a, _), (_, _, _, _, to_b) = sorted((a, b), key=lambda entry: entry[2])
+    e2 = to_b @ np.array([-2.0 * ca[0], -2.0 * ca[1], ca @ ca, 1.0])
+    near, far = np.sqrt(max(e2.min(), 0.0)), np.sqrt(max(e2.max(), 0.0))
     # squared distances are exact, so the square root of an extreme equals
     # the Euclidean distance bit for bit
-    if e.max() - e.min() >= 2 * ra:
-        return float(np.sqrt(_sq_dists(pa, pb[e >= e.max() - 2 * ra]).min(axis=0).max()))
-    d2 = _sq_dists(pa, pb)
+    if far - near >= 2 * ra:
+        kept = np.compress(e2 >= (far - 2 * ra) ** 2, to_b, axis=0)
+        return float(np.sqrt(_sq_dists(frm_a, kept).min(axis=0).max()))
+    d2 = _sq_dists(frm_a, to_b)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
@@ -236,21 +280,38 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return _boundaries(g), _boundaries(p)
 
     @functools.cache
+    def balls(side):
+        # (n, 2) centres and (n,) radii of one map's boundary balls
+        entries = bounds()[side]
+        return np.array([e[1] for e in entries]), np.array([e[2] for e in entries])
+
+    @functools.cache
     def hd(i, j):
         if overlap[i, j] == g.areas[i] == p.areas[j]:
             return 0.0  # the same pixel set
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def one_side(areas, ov, pair_hd, n_other):
+    def closest(i, pair_hd, side):
+        # every distance lies within r_i + r_k of the ball gap |c_i - c_k|; a
+        # counterpart whose lower bound exceeds the least upper bound is
+        # farther than that one, with the radii's slack to spare over the
+        # rounding of the gaps, so no dropped counterpart attains or ties the
+        # minimum
+        (c, r), (oc, orad) = balls(side), balls(1 - side)
+        gap = np.hypot(*(oc - c[i]).T)
+        kept = np.flatnonzero(gap - r[i] - orad <= (gap + r[i] + orad).min())
+        return min(pair_hd(i, k) for k in kept)
+
+    def one_side(areas, ov, pair_hd, side):
         dist = [
-            pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
+            pair_hd(i, j) if j >= 0 else closest(i, pair_hd, side)
             for i, j in enumerate(_best_counterparts(ov))
         ]
         return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.areas, overlap, hd, p.count)
-    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), g.count)
+    gt_side = one_side(g.areas, overlap, hd, 0)
+    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), 1)
     return 0.5 * (gt_side + pred_side)
 
 

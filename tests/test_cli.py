@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowseg import gcm, gt_displacement, read_field, read_map, synth, write_field, write_map
+from flowseg import evaluate, gcm, gt_displacement, read_field, read_map, synth, write_field, write_map
 from flowseg.cli import cli
 from oracles import components8
 
@@ -80,6 +80,25 @@ def test_eval_identical_maps(tmp_path, capsys):
     assert (record["obj_f1"], record["obj_dice"], record["obj_hd"]) == (1.0, 1.0, 0.0)
     assert len(record["per_object"]) == 4
 
+
+
+def test_eval_two_different_maps_matches_library(tmp_path, capsys):
+    # a zero field clusters the touching blobs into one instance, so scoring it
+    # against the labels measures boundaries and Hausdorff distances
+    labels_path = tmp_path / "labels.pgm"
+    energy_path = tmp_path / "energy.pgm"
+    field_path = tmp_path / "zero.df"
+    pred_path = tmp_path / "pred.pgm"
+    assert cli(["synth", "two-blobs-adherent", str(labels_path), "--height", "32", "--width", "32"]) == 0
+    labels = read_map(labels_path)
+    write_map(energy_path, (labels > 0).astype(np.int64))
+    write_field(field_path, np.zeros((32, 32, 2)))
+    assert cli(["cluster", str(energy_path), str(field_path), str(pred_path)]) == 0
+    capsys.readouterr()
+    assert cli(["eval", str(pred_path), str(labels_path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record == evaluate(read_map(pred_path), labels)
+    assert record["obj_hd"] > 0.0
 
 def test_usage_error_exits_two(capsys):
     assert cli([]) == 2

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg import metrics
@@ -25,6 +25,85 @@ def one_prediction_over_two_objects():
     pred = np.zeros_like(gt)
     pred[2:6, 1:10] = 7  # covers all of both
     return pred, gt
+
+
+def unique_extract(m):
+    """The extraction by one ``np.unique`` over every pixel: the reference the
+    run-based ``_extract`` must equal."""
+    a = np.asarray(m)
+    uniq, first, inverse, counts = np.unique(
+        a.ravel(), return_index=True, return_inverse=True, return_counts=True
+    )
+    if uniq.size and uniq[0] < 0:
+        raise ValueError("instance ids must be >= 0")
+    fg = uniq > 0
+    order = np.argsort(first[fg], kind="stable")
+    rank = np.full(len(uniq), -1, dtype=np.int64)
+    rank[np.flatnonzero(fg)[order]] = np.arange(order.size)
+    index = rank[inverse].reshape(a.shape)
+    return uniq[fg][order], index, counts[fg][order]
+
+
+ID_DTYPES = [np.uint8, np.int16, np.int64, np.uint64]
+
+
+@st.composite
+def id_maps(draw):
+    """Small maps of a few ids, sparse up to 2**62 where the dtype holds them,
+    including 0-row and 0-column shapes."""
+    dtype = draw(st.sampled_from(ID_DTYPES))
+    top = min(int(np.iinfo(dtype).max), 2**62)
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    h, w = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=dtype).reshape(h, w)
+
+
+def fixed_id_maps():
+    checker = (np.indices((5, 6)).sum(axis=0) % 2).astype(np.int64)
+    maps = {
+        "checkerboard": checker,
+        "checkerboard-two-ids": np.where(checker == 1, 7, 3),
+        "checkerboard-2**62": checker * 2**62,
+        "single-row": np.array([[0, 5, 5, 2, 0, 5, 9, 9]]),
+        "single-column": np.array([[4], [4], [0], [1], [4], [0]]),
+        "0x5": np.zeros((0, 5), dtype=np.int64),
+        "5x0": np.zeros((5, 0), dtype=np.int64),
+        "0x0": np.zeros((0, 0), dtype=np.int64),
+        "1x1": np.array([[3]]),
+        "background": np.zeros((4, 4), dtype=np.int64),
+    }
+    return [
+        pytest.param(m.astype(dtype), id=f"{name}-{np.dtype(dtype).name}")
+        for name, m in maps.items()
+        for dtype in ID_DTYPES
+        if m.max(initial=0) <= np.iinfo(dtype).max
+    ]
+
+
+def assert_extracts_like_unique(m):
+    objs = metrics._extract(m)
+    ids, index, areas = unique_extract(m)
+    assert objs.ids.dtype == ids.dtype == m.dtype
+    assert objs.ids.tolist() == ids.tolist()
+    assert objs.index.dtype == index.dtype and np.array_equal(objs.index, index)
+    assert objs.areas.dtype == areas.dtype and objs.areas.tolist() == areas.tolist()
+
+
+class TestExtract:
+    @given(id_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_unique_extraction(self, m):
+        assert_extracts_like_unique(m)
+
+    @pytest.mark.parametrize("m", fixed_id_maps())
+    def test_equals_the_unique_extraction_on_edge_maps(self, m):
+        assert_extracts_like_unique(m)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_negative_id_raises(self, dtype):
+        with pytest.raises(ValueError, match=r"^instance ids must be >= 0$"):
+            metrics._extract(np.array([[0, 3], [-1, 3]], dtype=dtype))
 
 
 class TestObjF1:
@@ -229,12 +308,12 @@ class TestPrunedHausdorff:
         big[2:38, 2:38] = 1
         small = np.zeros_like(big)
         small[8:11, 25:28] = 1
-        pb, cb, rb = metrics._boundaries(metrics._extract(big))[0]
-        ps, cs, rs = metrics._boundaries(metrics._extract(small))[0]
+        pb, cb, rb, *lift_b = metrics._boundaries(metrics._extract(big))[0]
+        ps, cs, rs, *lift_s = metrics._boundaries(metrics._extract(small))[0]
         want = dense_hausdorff(pb, ps)
         shapes = spy_products(monkeypatch)
-        assert metrics._hausdorff((pb, cb, rb), (ps, cs, rs)) == want
-        assert metrics._hausdorff((ps, cs, rs), (pb, cb, rb)) == want
+        assert metrics._hausdorff((pb, cb, rb, *lift_b), (ps, cs, rs, *lift_s)) == want
+        assert metrics._hausdorff((ps, cs, rs, *lift_s), (pb, cb, rb, *lift_b)) == want
         # each order measures the small object against a part of the large one
         assert [s[0] for s in shapes] == [len(ps)] * 2
         assert all(0 < s[1] < len(pb) for s in shapes)
@@ -291,18 +370,72 @@ class TestPrunedHausdorff:
         st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), min_size=1, max_size=40),
         st.tuples(st.floats(-80, 80), st.floats(-80, 80)),
     )
+    # A's centre sits 3e-7 off B's point: the lifted product can round that
+    # e² (9e-14) below 0, which must read as 0 without a RuntimeWarning
+    @example(a=[(60, 60)], b=[(60, 60)], shift=(3e-7, 0.0))
     @settings(max_examples=300, deadline=None)
     def test_any_enclosing_ball_keeps_the_exact_distance(self, a, b, shift):
         # the bound holds for any ball that holds the points, not only for the
         # bounding-box centre the metric uses
         def entry(pts, centre):
-            return pts, centre, np.sqrt(((pts - centre) ** 2).sum(axis=1)).max() + 1.0
+            radius = np.sqrt(((pts - centre) ** 2).sum(axis=1)).max() + 1.0
+            return pts, centre, radius, *metrics._lift(pts)
 
         a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
         box = lambda p: (p.min(axis=0) + p.max(axis=0)) / 2
         want = dense_hausdorff(a, b)
         assert metrics._hausdorff(entry(a, box(a)), entry(b, box(b))) == want
         assert metrics._hausdorff(entry(a, box(a) + shift), entry(b, np.array(shift))) == want
+
+
+def moved_to_the_other_half(m):
+    """``m`` in the left half of a grid twice as wide, and ``m`` in the right
+    half: no object overlaps a counterpart."""
+    left, right = np.zeros((2, m.shape[0], 2 * m.shape[1]), dtype=m.dtype)
+    left[:, : m.shape[1]] = m
+    right[:, m.shape[1] :] = m
+    return left, right
+
+
+def scattered_squares(rng):
+    """Up to 16 squares of side 1 to 4 at random places in a 4 x 4 lattice of
+    7 x 7 cells, with random ids."""
+    m = np.zeros((28, 28), dtype=np.int64)
+    for cell, oid in enumerate(rng.permutation(40)[:16] + 1):
+        if rng.random() < 0.8:
+            side = int(rng.integers(1, 5))
+            r, c = 7 * (cell // 4) + rng.integers(0, 7 - side, 2)
+            m[r : r + side, c : c + side] = oid
+    return m
+
+
+class TestUnmatchedFallback:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_disjoint_maps_equal_the_brute_force_minimum(self, seed, monkeypatch):
+        left, right = moved_to_the_other_half(scattered_squares(np.random.default_rng(seed)))
+        n = len(np.unique(left)) - 1
+        calls = []
+        hausdorff = metrics._hausdorff
+        monkeypatch.setattr(metrics, "_hausdorff", lambda a, b: calls.append(1) or hausdorff(a, b))
+        for pred, gt in [(left, right), (right, left)]:
+            calls.clear()
+            assert obj_hd(pred, gt) == metric_obj_hd(pred, gt)
+            # the ball filter drops some of the n * n pairs
+            assert 0 < len(calls) < n * n
+
+    def test_a_tie_between_two_candidates(self):
+        # the ground-truth square lies as far from the left prediction as from
+        # the right one, and each prediction is unmatched as well
+        gt = np.zeros((12, 31), dtype=np.int64)
+        gt[4:8, 13:18] = 1
+        pred = np.zeros_like(gt)
+        pred[3:9, 2:7] = 5
+        pred[3:9, 24:29] = 2
+        left, right = metrics._boundaries(metrics._extract(pred))
+        square = metrics._boundaries(metrics._extract(gt))[0]
+        assert metrics._hausdorff(square, left) == metrics._hausdorff(square, right)
+        assert obj_hd(pred, gt) == metric_obj_hd(pred, gt)
+        assert obj_hd(gt, pred) == metric_obj_hd(gt, pred)
 
 
 class TestInvariances:
