@@ -21,30 +21,20 @@ background). Conventions, declared once and used by every metric:
 
 Maps must hold non-negative integer ids. A public metric extracts each map's
 objects and their overlap matrix once, and ``evaluate`` extracts them once for
-all four of its calls. Extraction sorts the values of the map's raster runs of
-equal ids, not every pixel: an object's area is the sum of its runs' lengths,
-and the index map repeats each run's object index over its length. Each
-directional sum adds the per-object contributions one at a time in raster
-order of the objects, starting from 0.0, so every score equals the brute-force
-oracle's bit for bit.
-
-Boundaries come from one pass over each map, which lifts every boundary point
-once into a "from" row [-2p, |p|², 1] and a "to" row [p, 1, |p|²]; a product of
-the two is the matrix of squared distances. The Hausdorff distance is exact:
-squared distances of integer pixel coordinates need no rounding. Two objects
-that are the same pixel set are at distance 0 and need no boundary, so
-``evaluate(m, m)`` builds none. For any other pair, each boundary has a ball
-(centre ``c``, radius ``r`` plus 1 px of slack) holding all its points. One
-product of the wider ball's "to" rows with the narrower ball's lifted centre
-gives the squared distances of its points to ``c``, exact for the metric's
-half-integer centres. When those distances spread over at least the narrower
-ball's ``2 r``, the wider boundary's directed distance is the symmetric one,
-and only its points within ``2 r`` of the largest such distance can attain it
-(proof at ``_hausdorff``): only those are measured, chosen by comparing the
-squares. Otherwise the full product is taken. An object with no overlapping
-counterpart measures only the counterparts whose distance bound from the two
-balls, ``|c_i - c_k| - r_i - r_k``, can reach the least ``|c_i - c_k| + r_i +
-r_k``.
+all four of its calls; extraction sorts only the values of the map's raster runs
+of equal ids. Each directional sum adds the per-object contributions one at a
+time in raster order of the objects, starting from 0.0, so every score equals
+the brute-force oracle's bit for bit. Boundaries come from one pass over each
+map, which lifts every boundary point once for the squared-distance products,
+and the Hausdorff distance is exact: squared distances of integer pixel
+coordinates need no rounding. Two objects that are the same pixel set are at
+distance 0 and need no boundary, so ``evaluate(m, m)`` builds none. For any
+other pair, each boundary has a ball (centre ``c``, radius ``r`` plus 1 px of
+slack) holding all its points. When the distances of the wider ball's boundary
+points to the narrower ball's ``c`` spread over at least that ball's ``2 r``,
+the wider boundary's directed distance is the symmetric one, and only its
+points within ``2 r`` of the largest such distance can attain it (proof at
+``_hausdorff``): only those are measured. Otherwise the full product is taken.
 """
 
 from __future__ import annotations
@@ -180,11 +170,11 @@ def _lift(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _boundaries(objs: _ObjectSet) -> list[tuple]:
-    """Per object, the entry (pts, centre, radius, frm, to): the (m, 2)
-    coordinates of its boundary pixels (4-neighbor rule) in raster order, from
-    one pass over the whole index map; the centre and radius of a ball holding
-    them all (radius plus 1 px of slack); and the points' ``_lift`` rows. Every
-    point is lifted once, and ``pts`` is a view of ``to``."""
+    """Per object, the entry (centre, radius, frm, to) of its boundary pixels
+    (4-neighbor rule) in raster order, from one pass over the whole index map:
+    the centre and radius of a ball holding them all (radius plus 1 px of
+    slack), and the points' ``_lift`` rows, each point lifted once. A point's
+    coordinates are the first two columns of its "to" row."""
     idx = np.pad(objs.index, 1, constant_values=-1)
     core = idx[1:-1, 1:-1]
     inner = (
@@ -206,7 +196,7 @@ def _boundaries(objs: _ObjectSet) -> list[tuple]:
     off = pts - centre.repeat(counts, axis=0)
     radius = np.maximum.reduceat(np.hypot(*off.T), starts) + 1.0
     spans = zip(starts.tolist(), ends.tolist())
-    return [(pts[a:b], c, r, frm[a:b], to[a:b]) for (a, b), c, r in zip(spans, centre, radius)]
+    return [(c, r, frm[a:b], to[a:b]) for (a, b), c, r in zip(spans, centre, radius)]
 
 
 def _sq_dists(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
@@ -248,7 +238,7 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     2 rho, and a dropped point has a true e_b below
     max e_b - 2 r_A + 2 eps <= max e_b - 2 rho.
     """
-    (_, ca, ra, frm_a, _), (_, _, _, _, to_b) = sorted((a, b), key=lambda entry: entry[2])
+    (ca, ra, frm_a, _), (_, _, _, to_b) = sorted((a, b), key=lambda entry: entry[1])
     e2 = to_b @ np.array([-2.0 * ca[0], -2.0 * ca[1], ca @ ca, 1.0])
     near, far = np.sqrt(max(e2.min(), 0.0)), np.sqrt(max(e2.max(), 0.0))
     # squared distances are exact, so the square root of an extreme equals
@@ -280,38 +270,21 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return _boundaries(g), _boundaries(p)
 
     @functools.cache
-    def balls(side):
-        # (n, 2) centres and (n,) radii of one map's boundary balls
-        entries = bounds()[side]
-        return np.array([e[1] for e in entries]), np.array([e[2] for e in entries])
-
-    @functools.cache
     def hd(i, j):
         if overlap[i, j] == g.areas[i] == p.areas[j]:
             return 0.0  # the same pixel set
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def closest(i, pair_hd, side):
-        # every distance lies within r_i + r_k of the ball gap |c_i - c_k|; a
-        # counterpart whose lower bound exceeds the least upper bound is
-        # farther than that one, with the radii's slack to spare over the
-        # rounding of the gaps, so no dropped counterpart attains or ties the
-        # minimum
-        (c, r), (oc, orad) = balls(side), balls(1 - side)
-        gap = np.hypot(*(oc - c[i]).T)
-        kept = np.flatnonzero(gap - r[i] - orad <= (gap + r[i] + orad).min())
-        return min(pair_hd(i, k) for k in kept)
-
-    def one_side(areas, ov, pair_hd, side):
+    def one_side(areas, ov, pair_hd, n_other):
         dist = [
-            pair_hd(i, j) if j >= 0 else closest(i, pair_hd, side)
+            pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
             for i, j in enumerate(_best_counterparts(ov))
         ]
         return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.areas, overlap, hd, 0)
-    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), 1)
+    gt_side = one_side(g.areas, overlap, hd, p.count)
+    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), g.count)
     return 0.5 * (gt_side + pred_side)
 
 

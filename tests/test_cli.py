@@ -81,7 +81,6 @@ def test_eval_identical_maps(tmp_path, capsys):
     assert len(record["per_object"]) == 4
 
 
-
 def test_eval_two_different_maps_matches_library(tmp_path, capsys):
     # a zero field clusters the touching blobs into one instance, so scoring it
     # against the labels measures boundaries and Hausdorff distances
@@ -99,6 +98,7 @@ def test_eval_two_different_maps_matches_library(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record == evaluate(read_map(pred_path), labels)
     assert record["obj_hd"] > 0.0
+
 
 def test_usage_error_exits_two(capsys):
     assert cli([]) == 2
