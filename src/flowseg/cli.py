@@ -39,10 +39,6 @@ def _cmd_gen_df(args) -> int:
 def _cmd_cluster(args) -> int:
     energy = read_map(args.energy)
     field = read_field(args.field)
-    if field.shape[:2] != energy.shape:
-        raise ValueError(
-            f"field grid {field.shape[:2]} does not match energy map {energy.shape}"
-        )
     write_map(args.out, gcm(field, energy, t0=args.t0, t1=args.t1))
     return 0
 
@@ -103,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-df", help="label map -> displacement field")
     p.add_argument("labels", help="input P5 label map")
-    p.add_argument("out", help="output field path (sidecar written alongside)")
+    p.add_argument("out", help="output field path (FD header, f64le planes)")
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--iters", type=int, default=96)
     p.set_defaults(func=_cmd_gen_df)

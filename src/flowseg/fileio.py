@@ -1,18 +1,22 @@
 """Binary artifact formats.
 
-* label / instance / energy maps: binary portable graymap (P5) with maxval
-  up to 65535, two bytes per sample most-significant first; ids above 65535
-  cannot be written
-* displacement fields: raw little-endian float64 payload (row plane, then
-  column plane, each row-major) plus a JSON sidecar ``<path>.json`` with
-  ``{"h", "w", "planes": 2, "dtype": "f64le"}``. The field is stored at the
-  precision it is computed in, so clustering a field read back gives the
-  same instance map as clustering it in memory
+Both kinds of file are an ASCII header of whitespace-separated tokens (a
+``#`` starts a comment that runs to the end of its line), then one
+whitespace byte, then the payload. The first token names the format.
+
+* label / instance / energy maps: binary portable graymap, header
+  ``P5 <width> <height> <maxval>`` with maxval up to 65535, then one byte per
+  sample below 256 and two bytes most-significant first above; ids above
+  65535 cannot be written
+* displacement fields: header ``FD <width> <height>``, then the row plane and
+  the column plane as little-endian float64, each row-major. The field is
+  stored at the precision it is computed in, so clustering a field read back
+  gives the same instance map as clustering it in memory
 """
 
 from __future__ import annotations
 
-import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +34,35 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+# whitespace and whole comment lines, then one token (empty at the end of the
+# data or at a comment with no newline)
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]*)")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    while pos < len(data):
-        b = data[pos]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == ord("#"):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise ParseError("unterminated header comment", pos)
-            pos = nl + 1
-        else:
-            break
-    if pos >= len(data):
-        raise ParseError("unexpected end of header", pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    return data[start:pos], pos
+def _header(data: bytes, magic: bytes, names: tuple[str, ...]) -> tuple[list[int], int]:
+    """Check the ``magic`` token and read one integer token per name.
 
-
-def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, end = _next_token(data, pos)
-    try:
-        return int(tok), end
-    except ValueError:
-        raise ParseError(f"bad {what} token {tok!r}", end - len(tok)) from None
+    Returns the integers and the offset of the payload, which starts after
+    the single whitespace byte that ends the header.
+    """
+    values = []
+    pos = 0
+    for name in ("magic", *names):
+        m = _TOKEN.match(data, pos)
+        tok, pos = m[1], m.end()
+        if not tok:
+            raise ParseError(f"missing {name} token", m.start(1))
+        if name == "magic":
+            if tok != magic:
+                raise ParseError(f"magic {tok!r}, expected {magic!r}", m.start(1))
+            continue
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"bad {name} token {tok!r}", m.start(1)) from None
+    if not data[pos : pos + 1].isspace():
+        raise ParseError(f"missing single whitespace after {names[-1]}", pos)
+    return values, pos + 1
 
 
 def read_map(path) -> np.ndarray:
@@ -69,19 +73,11 @@ def read_map(path) -> np.ndarray:
     headers, oversized maxval, or truncated payloads.
     """
     data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise ParseError(f"not a binary graymap (magic {magic!r})", 0)
-    w, pos = _int_token(data, pos, "width")
-    h, pos = _int_token(data, pos, "height")
-    maxval, pos = _int_token(data, pos, "maxval")
+    (w, h, maxval), pos = _header(data, b"P5", ("width", "height", "maxval"))
     if w < 1 or h < 1:
         raise ParseError(f"bad dimensions {w}x{h}", pos)
     if not 0 < maxval <= MAXVAL:
         raise ParseError(f"maxval {maxval} outside (0, {MAXVAL}]", pos)
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise ParseError("missing single whitespace after maxval", pos)
-    pos += 1
     dtype = ">u2" if maxval > 255 else "u1"
     need = h * w * np.dtype(dtype).itemsize
     if len(data) - pos < need:
@@ -95,66 +91,42 @@ def read_map(path) -> np.ndarray:
 def write_map(path, arr: np.ndarray) -> None:
     """Write an (h, w) integer array as a 16-bit P5 graymap (maxval 65535)."""
     a = np.asarray(arr)
-    if a.ndim != 2:
-        raise ValueError(f"map must be 2-D, got shape {a.shape}")
+    if a.ndim != 2 or min(a.shape) < 1:
+        raise ValueError(f"map must be 2-D with both sides >= 1, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"map must be integer, got dtype {a.dtype}")
-    if a.size and (a.min() < 0 or a.max() > MAXVAL):
+    if a.min() < 0 or a.max() > MAXVAL:
         raise ValueError(f"map values must lie in [0, {MAXVAL}]")
     h, w = a.shape
     header = f"P5\n{w} {h}\n{MAXVAL}\n".encode("ascii")
     Path(path).write_bytes(header + a.astype(">u2").tobytes())
 
 
-def _sidecar(path) -> Path:
-    return Path(str(path) + ".json")
-
-
 def write_field(path, field: np.ndarray) -> None:
-    """Write an (h, w, 2) displacement field: f64le payload + JSON sidecar."""
+    """Write an (h, w, 2) displacement field: ``FD`` header, then f64le planes."""
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != 2:
         raise ValueError(f"field must be (h, w, 2), got {f.shape}")
     h, w = f.shape[:2]
-    payload = f[..., 0].astype("<f8").tobytes() + f[..., 1].astype("<f8").tobytes()
-    Path(path).write_bytes(payload)
-    _sidecar(path).write_text(
-        json.dumps({"h": h, "w": w, "planes": 2, "dtype": "f64le"}) + "\n"
-    )
+    header = f"FD\n{w} {h}\n".encode("ascii")
+    Path(path).write_bytes(header + np.moveaxis(f, -1, 0).astype("<f8").tobytes())
 
 
 def read_field(path) -> np.ndarray:
     """Read a displacement field written by :func:`write_field`, as float64."""
-    side = _sidecar(path)
-    if not side.exists():
-        raise ParseError(f"missing field sidecar {side}")
-    try:
-        meta = json.loads(side.read_text())
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-        raise ParseError(f"bad field sidecar: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ParseError("field sidecar must be a JSON object")
-    for key in ("h", "w", "planes", "dtype"):
-        if key not in meta:
-            raise ParseError(f"field sidecar lacks key {key!r}")
-    if meta["dtype"] != "f64le":
-        raise ParseError(f"unsupported field dtype {meta['dtype']!r}")
-    if meta["planes"] != 2:
-        raise ParseError(f"expected 2 field planes, got {meta['planes']}")
-    h, w = meta["h"], meta["w"]
-    for value, what in ((h, "height"), (w, "width")):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ParseError(f"field {what} must be a non-negative integer, got {value!r}")
     data = Path(path).read_bytes()
+    (w, h), pos = _header(data, b"FD", ("width", "height"))
+    if w < 0 or h < 0:
+        raise ParseError(f"bad dimensions {w}x{h}", pos)
     need = h * w * 2 * 8
-    if len(data) != need:
+    if len(data) - pos != need:
         raise ParseError(
-            f"field payload is {len(data)} bytes, expected {need}", len(data)
+            f"field payload is {len(data) - pos} bytes, expected {need}", len(data)
         )
     try:
         # a zero-size shape such as (2, 2**62, 0) matches an empty payload,
         # but numpy cannot hold it
-        planes = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(2, h, w)
+        planes = np.frombuffer(data, dtype="<f8", offset=pos).astype(np.float64).reshape(2, h, w)
     except ValueError:
         raise ParseError(f"field shape {(2, h, w)} is too large") from None
     return np.stack([planes[0], planes[1]], axis=-1)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,49 +73,60 @@ class TestMapFiles:
         with pytest.raises(ValueError):
             write_map(path, np.zeros((2, 2)))  # float
 
+    # read_map refuses a side below 1, so write_map must not write one
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)], ids=["0x5", "5x0", "0x0"])
+    def test_write_rejects_an_empty_side(self, tmp_path, shape):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match="both sides"):
+            write_map(path, np.zeros(shape, dtype=np.int64))
+        assert not path.exists()
+
 
 class TestFieldFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        field = rng.normal(size=(5, 7, 2)).astype(np.float32).astype(np.float64)
-        path = tmp_path / "f.df"
+    # raw f64 bit patterns, NaN payloads and signed zeros included; a 0 side too
+    @given(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+            lambda hw: st.binary(min_size=16 * hw[0] * hw[1], max_size=16 * hw[0] * hw[1]).map(
+                lambda raw: np.frombuffer(raw, dtype=np.float64).reshape(*hw, 2)
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip(self, tmp_path_factory, field):
+        directory = tmp_path_factory.mktemp("fields")
+        path = directory / "f.df"
         write_field(path, field)
         got = read_field(path)
-        np.testing.assert_array_equal(got, field)
-        meta = json.loads((tmp_path / "f.df.json").read_text())
-        assert meta == {"h": 5, "w": 7, "planes": 2, "dtype": "f64le"}
+        assert got.dtype == np.float64 and got.shape == field.shape
+        assert got.tobytes() == field.tobytes()
+        assert list(directory.iterdir()) == [path]
+
+    def test_header(self, tmp_path):
+        path = tmp_path / "f.df"
+        write_field(path, np.zeros((2, 3, 2)))
+        assert path.read_bytes()[:7] == b"FD\n3 2\n"
+
+    def test_header_comments_accepted(self, tmp_path):
+        path = tmp_path / "f.df"
+        payload = np.array([1.5, -2.0]).astype("<f8").tobytes()
+        path.write_bytes(b"FD # field\n# size\n1 1\n" + payload)
+        np.testing.assert_array_equal(read_field(path), [[[1.5, -2.0]]])
 
     def test_payload_length_checked(self, tmp_path):
         path = tmp_path / "f.df"
         write_field(path, np.zeros((4, 4, 2)))
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ParseError, match="payload"):
-            read_field(path)
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "f.df"
-        path.write_bytes(b"\x00" * 32)
-        with pytest.raises(ParseError, match="sidecar"):
-            read_field(path)
-
-    def test_wrong_dtype_rejected(self, tmp_path):
-        path = tmp_path / "f.df"
-        write_field(path, np.zeros((2, 2, 2)))
-        meta = json.loads((tmp_path / "f.df.json").read_text())
-        meta["dtype"] = "f32le"
-        (tmp_path / "f.df.json").write_text(json.dumps(meta))
-        with pytest.raises(ParseError, match="dtype"):
-            read_field(path)
+        data = path.read_bytes()
+        for bad in (data[:-4], data + bytes(8)):  # short, over-long
+            path.write_bytes(bad)
+            with pytest.raises(ParseError, match="payload"):
+                read_field(path)
 
     # (-2, -2) gives the 32 bytes a 2x2 field has, so only the sign check stops it
     @pytest.mark.parametrize("h,w", [("x", 2), (-2, -2), (2, -2), (2, 2.5)])
     def test_bad_dimensions_are_parse_errors(self, tmp_path, h, w):
         path = tmp_path / "f.df"
-        write_field(path, np.zeros((2, 2, 2)))
-        meta = json.loads((tmp_path / "f.df.json").read_text())
-        meta.update(h=h, w=w)
-        (tmp_path / "f.df.json").write_text(json.dumps(meta))
-        with pytest.raises(ParseError, match="non-negative integer"):
+        path.write_bytes(f"FD\n{w} {h}\n".encode() + bytes(32))
+        with pytest.raises(ParseError, match="bad (dimensions|width|height)"):
             read_field(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
@@ -127,76 +136,55 @@ class TestFieldFiles:
     def test_empty_field_too_large_to_shape(self, tmp_path):
         # 0 payload bytes match h * w = 0, but numpy cannot shape (2, 2**62, 0)
         path = tmp_path / "f.df"
-        path.write_bytes(b"")
-        (tmp_path / "f.df.json").write_text(
-            json.dumps({"h": 2**62, "w": 0, "planes": 2, "dtype": "f64le"})
-        )
+        path.write_bytes(f"FD\n0 {2**62}\n".encode())
         with pytest.raises(ParseError, match="too large"):
             read_field(path)
 
-    # not UTF-8, nested deeper than the JSON decoder recurses, more digits than int() takes
-    @pytest.mark.parametrize(
-        "text", [b"\xff\xfe", b"[" * 100_000, b"1" * 5000], ids=["utf8", "depth", "digits"]
-    )
-    def test_undecodable_sidecar(self, tmp_path, text):
-        path = tmp_path / "f.df"
-        path.write_bytes(b"")
-        (tmp_path / "f.df.json").write_bytes(text)
-        with pytest.raises(ParseError, match="bad field sidecar"):
-            read_field(path)
+
+def test_each_reader_refuses_the_other_format(tmp_path):
+    map_path, field_path = tmp_path / "m.pgm", tmp_path / "f.df"
+    write_map(map_path, np.ones((2, 2), dtype=np.int64))
+    write_field(field_path, np.zeros((2, 2, 2)))
+    with pytest.raises(ParseError, match="magic"):
+        read_field(map_path)
+    with pytest.raises(ParseError, match="magic"):
+        read_map(field_path)
 
 
-# Any payload plus any sidecar gives an array or a ParseError, never another
-# exception. A sidecar is mostly a well-formed dict whose values are mostly
-# plausible, so that every check in a reader is reached, not just the first.
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["", "a", "é"]),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("abhw"), inner),
-    max_leaves=6,
+# a token ends at "#" too, but the payload starts only after one whitespace byte
+@pytest.mark.parametrize(
+    "reader, data", [(read_map, b"P5 1 1 255#\x07"), (read_field, b"FD 0 0#")], ids=["map", "field"]
 )
+def test_header_ends_in_one_whitespace_byte(tmp_path, reader, data):
+    path = tmp_path / "x"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="missing single whitespace"):
+        reader(path)
 
 
-def mostly(plausible, other=json_values):
-    """``plausible`` seven times in eight, else ``other``."""
-    return st.sampled_from([plausible] * 7 + [other]).flatmap(lambda strategy: strategy)
-
-
-# 2**62 with a 0 beside it is a zero-size shape numpy cannot hold, and an
-# empty payload is the one that matches it
-sizes = mostly(
-    st.sampled_from([0, 1, 2, 2**62]), st.sampled_from([2**64, -1, 1.5, "2", True]) | json_values
+# Any bytes give an array or a ParseError, never another exception. A file is
+# mostly the reader's magic and then header tokens, plausible and not, so that
+# every check in a reader is reached, not just the first.
+header_tokens = st.sampled_from(
+    ["P5", "FD", "0", "1", "2", "255", "256", "65535", "65536", str(2**62), "-1", "x", "#c\n"]
 )
-payloads = st.just(b"") | st.binary(max_size=80)
-field_sidecars = st.fixed_dictionaries(
-    {"h": sizes, "w": sizes, "planes": mostly(st.just(2)), "dtype": mostly(st.just("f64le"))}
-)
-# a P5 header of plausible and implausible tokens, then any payload
-map_tokens = st.sampled_from(
-    ["P5", "P2", "0", "1", "2", "255", "256", "65535", "65536", "-1", "x", "#c\n"]
-)
-map_files = st.binary(max_size=40) | st.builds(
-    lambda tokens, sep, payload: " ".join(tokens).encode() + sep + payload,
-    st.lists(map_tokens, max_size=5).map(lambda t: ["P5", *t]),
-    st.sampled_from([b" ", b"\n", b""]),
-    st.binary(max_size=40),
-)
+# an empty payload and 16 zero bytes fit the 0-sided and 1x1 fields
+payloads = st.sampled_from([b"", bytes(16)]) | st.binary(max_size=80)
 
 
-def sidecars(shaped):
-    """Sidecar bytes: mostly a shaped dict, else any JSON, any bytes, or no file (None)."""
-    anything = json_values.map(lambda m: json.dumps(m).encode())
-    return mostly(
-        shaped.map(lambda m: json.dumps(m).encode()), anything | st.binary(max_size=16) | st.none()
+def header_files(magic: bytes):
+    """Any bytes, or ``magic`` and up to five header tokens, a separator and a payload."""
+    return st.binary(max_size=40) | st.builds(
+        lambda tokens, sep, payload: b" ".join([magic, *tokens]) + sep + payload,
+        st.lists(header_tokens.map(str.encode), max_size=5),
+        st.sampled_from([b" ", b"\n", b""]),
+        payloads,
     )
 
 
-def read_or_parse_error(reader, path, payload, sidecar):
-    """What ``reader`` returns for these files, or None where it raises ParseError."""
-    path.write_bytes(payload)
-    side = path.with_name(path.name + ".json")
-    side.unlink(missing_ok=True)
-    if sidecar is not None:
-        side.write_bytes(sidecar)
+def read_or_parse_error(reader, path, data):
+    """What ``reader`` returns for a file of ``data``, or None where it raises ParseError."""
+    path.write_bytes(data)
     try:
         return reader(path)
     except ParseError:
@@ -204,16 +192,16 @@ def read_or_parse_error(reader, path, payload, sidecar):
 
 
 class TestReaderFuzz:
-    @given(map_files)
+    @given(header_files(b"P5"))
     @settings(max_examples=100, deadline=None)
     def test_read_map(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
-        out = read_or_parse_error(read_map, path, data, None)
+        out = read_or_parse_error(read_map, path, data)
         assert out is None or (out.dtype == np.int64 and out.ndim == 2)
 
-    @given(payloads, sidecars(field_sidecars))
+    @given(header_files(b"FD"))
     @settings(max_examples=100, deadline=None)
-    def test_read_field(self, tmp_path_factory, payload, sidecar):
+    def test_read_field(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz.df"
-        out = read_or_parse_error(read_field, path, payload, sidecar)
+        out = read_or_parse_error(read_field, path, data)
         assert out is None or (out.dtype == np.float64 and out.shape[2:] == (2,))
