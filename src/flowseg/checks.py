@@ -6,7 +6,8 @@ Two kinds of evidence:
   nodes whose neighbor feature multisets are identical but arranged
   differently, while the isotropic baseline provably cannot
 * finite-difference Jacobian checks comparing each forward's hand-derived
-  directional derivative against central differences
+  directional derivative against central differences at a :class:`CheckPoint`,
+  whose ``args`` are what the op takes after its input: grid, then parameters
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .getconv import (
-    IsoParams,
-    LayerParams,
     diffusivity,
     diffusivity_jvp,
     getblock_forward,
@@ -29,9 +28,9 @@ from .getconv import (
     random_iso_params,
     random_layer_params,
 )
-from .grid import GridShape, NeighborhoodSpec, grid_adjacency, nid, square
+from .grid import GridShape, grid_adjacency, nid, square
 
-# op -> (forward, jvp); see _op_args for what both take after the input
+# op -> (forward, jvp), called as forward(x, *args) and jvp(x, tangent, *args)
 _OPS = {
     "diffusivity": (diffusivity, diffusivity_jvp),
     "getconv": (getconv_forward, getconv_forward_jvp),
@@ -95,14 +94,15 @@ def isomorphism_probe(
 
 @dataclass
 class CheckPoint:
-    """A differentiation point: one forward, its input, and a direction."""
+    """A differentiation point: one forward, its input, a direction, and
+    ``args``, what the forward takes after the input and its JVP after the
+    tangent (the adjacency, or getblock's stencil, then any parameters; a
+    masked getconv point appends the per-node ``clusters``)."""
 
     op: str
-    shape: GridShape
-    spec: NeighborhoodSpec
     x: np.ndarray
     tangent: np.ndarray
-    params: LayerParams | IsoParams | None = None
+    args: tuple
 
 
 @dataclass
@@ -114,37 +114,26 @@ class JacobianReport:
 
 
 def random_check_point(op: str, seed: int) -> CheckPoint:
-    """Seeded random input/direction for one of the differentiable forwards."""
+    """Seeded random input, parameters and direction, drawn in that order, for
+    one of the differentiable forwards on a square(3) grid (8x8 for getblock,
+    4x4 otherwise)."""
+    if op not in _OPS:
+        raise ValueError(f"unknown op {op!r}; choose from {JACOBIAN_OPS}")
     rng = np.random.default_rng(seed)
     spec = square(3)
+    side = 8 if op == "getblock" else 4
+    adj = grid_adjacency(GridShape(side, side), spec)
+    width = adj.n_slots if op == "diffusivity" else CHANNELS
+    x = 0.5 * rng.normal(size=(side, side, width) if op == "getblock" else (side * side, width))
     if op == "diffusivity":
-        shape = GridShape(4, 4)
-        adj = grid_adjacency(shape, spec)
-        x = 0.5 * rng.normal(size=(shape.n_nodes, adj.n_slots))
-        params = None
-    elif op == "getconv":
-        shape = GridShape(4, 4)
-        adj = grid_adjacency(shape, spec)
-        x = 0.5 * rng.normal(size=(shape.n_nodes, CHANNELS))
-        params = random_layer_params(rng, CHANNELS, adj.n_slots)
-    elif op == "getblock":
-        shape = GridShape(8, 8)
-        adj = grid_adjacency(shape, spec)
-        x = 0.5 * rng.normal(size=(shape.h, shape.w, CHANNELS))
-        params = random_layer_params(rng, CHANNELS, adj.n_slots, kernel=3)
+        args = (adj,)
     elif op == "isotropic":
-        shape = GridShape(4, 4)
-        x = 0.5 * rng.normal(size=(shape.n_nodes, CHANNELS))
-        params = random_iso_params(rng, CHANNELS)
+        args = (adj, random_iso_params(rng, CHANNELS))
+    elif op == "getconv":
+        args = (adj, random_layer_params(rng, CHANNELS, adj.n_slots))
     else:
-        raise ValueError(f"unknown op {op!r}; choose from {JACOBIAN_OPS}")
-    return CheckPoint(op, shape, spec, x, rng.normal(size=x.shape), params)
-
-
-def _op_args(point: CheckPoint) -> tuple:
-    """What the op's forward takes after the input (its jvp: after the tangent)."""
-    grid = point.spec if point.op == "getblock" else grid_adjacency(point.shape, point.spec)
-    return (grid,) if point.params is None else (grid, point.params)
+        args = (spec, random_layer_params(rng, CHANNELS, adj.n_slots, kernel=3))
+    return CheckPoint(op, x, rng.normal(size=x.shape), args)
 
 
 def jacobian_check(point: CheckPoint, tol: float = JACOBIAN_TOL) -> JacobianReport:
@@ -157,10 +146,9 @@ def jacobian_check(point: CheckPoint, tol: float = JACOBIAN_TOL) -> JacobianRepo
     if point.op not in _OPS:
         raise ValueError(f"unknown op {point.op!r}; choose from {JACOBIAN_OPS}")
     forward, jvp = _OPS[point.op]
-    args = _op_args(point)
-    analytic = jvp(point.x, point.tangent, *args)[1]
-    plus = forward(point.x + FD_STEP * point.tangent, *args)
-    minus = forward(point.x - FD_STEP * point.tangent, *args)
+    analytic = jvp(point.x, point.tangent, *point.args)[1]
+    plus = forward(point.x + FD_STEP * point.tangent, *point.args)
+    minus = forward(point.x - FD_STEP * point.tangent, *point.args)
     fd = (plus - minus) / (2.0 * FD_STEP)
     if not (np.all(np.isfinite(fd)) and np.all(np.isfinite(analytic))):
         return JacobianReport(point.op, float("inf"), tol, False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridShape
+from .grid import GridShape, require_finite
 
 
 @dataclass
@@ -48,11 +48,9 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
         raise ValueError(f"field must be (h, w, 2), got {f.shape}")
     if e.shape != f.shape[:2]:
         raise ValueError(f"energy shape {e.shape} does not match field {f.shape[:2]}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("displacement field must be finite")
+    require_finite(f, "displacement field")
     # a NaN energy would compare unequal to 0 and pass for foreground
-    if e.size and not np.isfinite([e.min(), e.max()]).all():
-        raise ValueError("energy must be finite")
+    require_finite(e, "energy")
     shape = GridShape(*e.shape)
     rows, cols = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
     tr = _round_half_away(rows + f[..., 0].ravel())
@@ -95,8 +93,7 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
     if m.size != shape.n_nodes:
         raise ValueError(f"message has {m.size} entries, grid {shape} has {shape.n_nodes}")
     # a NaN or inf message would compare unequal to 0 and pass for a seed
-    if m.size and not np.isfinite([m.min(), m.max()]).all():
-        raise ValueError("message must be finite")
+    require_finite(m, "message")
     fg = m.reshape(shape.h, shape.w) != 0
     padded = np.zeros((shape.h, shape.w + 2), dtype=np.int8)
     padded[:, 1:-1] = fg

@@ -70,7 +70,7 @@ def read_map(path) -> np.ndarray:
 
     Accepts any maxval up to 65535 (one byte per sample below 256, two
     above); raises :class:`ParseError` with a byte offset on malformed
-    headers, oversized maxval, or truncated payloads.
+    headers, oversized maxval, truncated payloads, or a sample above maxval.
     """
     data = Path(path).read_bytes()
     (w, h, maxval), pos = _header(data, b"P5", ("width", "height", "maxval"))
@@ -85,6 +85,9 @@ def read_map(path) -> np.ndarray:
             f"truncated payload: need {need} bytes, have {len(data) - pos}", len(data)
         )
     arr = np.frombuffer(data, dtype=dtype, count=h * w, offset=pos)
+    if arr.max() > maxval:
+        i = int(np.argmax(arr > maxval))
+        raise ParseError(f"sample {arr[i]} above maxval {maxval}", pos + i * arr.itemsize)
     return arr.reshape(h, w).astype(np.int64)
 
 

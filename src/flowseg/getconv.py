@@ -37,6 +37,7 @@ from .grid import (
     _on_two_threads,
     _row_blocks,
     grid_adjacency,
+    require_finite,
     stencil_sum,
 )
 
@@ -137,22 +138,13 @@ def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
     return _query(z, None, params)[0]
 
 
-def _require_finite(x, what):
-    """``x`` as float64, if finite: an inf tangent times a 0.0 weight is NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    # min and max carry any NaN or inf without a temporary the size of x; an
-    # empty x (no slots, or no channels) has neither and is finite
-    if x.size and not np.isfinite([x.min(), x.max()]).all():
-        raise ValueError(f"{what} must be finite")
-    return x
-
-
 def _check_tangent(tangent, primal):
     """``tangent`` as float64, if finite and shaped like ``primal``."""
     dx = np.asarray(tangent)
     if dx.shape != primal.shape:
         raise ValueError(f"tangent must be {primal.shape}, got {dx.shape}")
-    return _require_finite(dx, "tangent")
+    # an inf tangent times a 0.0 weight is NaN
+    return require_finite(np.asarray(dx, dtype=np.float64), "tangent")
 
 
 def _pair_sum(x, adj, rows, out):
@@ -198,7 +190,7 @@ def _check_queries(queries, adj):
     if q.shape != (adj.shape.n_nodes, adj.n_slots):
         raise ValueError(f"queries must be {(adj.shape.n_nodes, adj.n_slots)}, got {q.shape}")
     # an inf query would come out as the finite clamped weight exp(EXP_CLAMP)
-    return _require_finite(q, "queries")
+    return require_finite(np.asarray(q, dtype=np.float64), "queries")
 
 
 def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
@@ -322,7 +314,7 @@ def _check_forward_input(feats, adj):
     if n < 2:
         raise ValueError("normalization needs at least 2 nodes")
     # one NaN would poison a channel's statistics and standardize it to 0
-    return _require_finite(z, "features")
+    return require_finite(np.asarray(z, dtype=np.float64), "features")
 
 
 def getconv_forward(
@@ -428,7 +420,10 @@ def getblock_forward_jvp(grid_feats, tangent, spec, params):
 def _iso_weights(z, dz, adj, params):
     """Slot-blind weights ``exp(q_i + k_j)`` from row-wise linear maps, and
     their derivative along ``dz`` when given."""
-    e = (z @ params.wq + params.bq)[:, None] + (z @ params.wk + params.bk)[adj.nbr_safe]
+    # an inf query or key would come out as the finite clamped weight exp(EXP_CLAMP)
+    q = require_finite(z @ params.wq + params.bq, "queries")
+    k = require_finite(z @ params.wk + params.bk, "keys")
+    e = q[:, None] + k[adj.nbr_safe]
     de = None if dz is None else (dz @ params.wq)[:, None] + (dz @ params.wk)[adj.nbr_safe]
     _edge_weights(e, de, adj.valid)
     return e, de

@@ -10,6 +10,9 @@ Conventions shared by the whole package:
 * square and disk stencils are point symmetric, so raster order puts the
   opposite offset ``-offsets[c]`` at slot ``n-1-c``; that is the reciprocal
   slot ``recip[c]`` of :class:`GridAdjacency`
+* non-finite input is refused with :func:`require_finite` wherever it could
+  pass for data: a NaN compares unequal to 0, and an inf clamps to a finite
+  value
 """
 
 from __future__ import annotations
@@ -70,6 +73,15 @@ def nid(coord: tuple[int, int], shape: GridShape) -> int:
     if not (0 <= row < shape.h and 0 <= col < shape.w):
         raise ValueError(f"coordinate {(row, col)} outside {shape.h}x{shape.w} grid")
     return row * shape.w + col
+
+
+def require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` itself, if every entry is finite; else a ValueError naming ``what``."""
+    # min and max carry any NaN or inf without a temporary the size of x; an
+    # empty x (no slots, or no channels) has neither and is finite
+    if x.size and not np.isfinite([x.min(), x.max()]).all():
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 @lru_cache(maxsize=None)

@@ -3,16 +3,21 @@ import pytest
 
 from flowseg import (
     GridShape,
-    getconv_forward,
-    getconv_forward_jvp,
     grid_adjacency,
     isomorphism_probe,
     jacobian_check,
     random_check_point,
     square,
 )
-from flowseg.checks import _OPS, FD_STEP, JACOBIAN_OPS, JACOBIAN_TOL, CheckPoint, _op_args
+from flowseg.checks import _OPS, JACOBIAN_OPS, JACOBIAN_TOL, CheckPoint
 from flowseg.getconv import diffusivity_jvp
+
+
+def masked_point(seed):
+    """A getconv check point whose layer is confined to 3 random clusters."""
+    point = random_check_point("getconv", seed)
+    cls = np.random.default_rng(seed).integers(0, 3, size=len(point.x))
+    return CheckPoint("getconv", point.x, point.tangent, (*point.args, cls))
 
 
 class TestIsomorphismProbe:
@@ -42,38 +47,21 @@ class TestJacobianCheck:
     def test_jvp_primal_is_the_forward(self, op):
         point = random_check_point(op, seed=3)
         forward, jvp = _OPS[op]
-        args = _op_args(point)
         np.testing.assert_array_equal(
-            jvp(point.x, point.tangent, *args)[0], forward(point.x, *args)
+            jvp(point.x, point.tangent, *point.args)[0], forward(point.x, *point.args)
         )
 
     def test_masked_getconv_jvp_primal_is_the_forward(self):
-        point = random_check_point("getconv", seed=4)
-        adj = grid_adjacency(point.shape, point.spec)
-        cls = np.random.default_rng(4).integers(0, 3, size=adj.shape.n_nodes)
+        point = masked_point(4)
+        forward, jvp = _OPS[point.op]
         np.testing.assert_array_equal(
-            getconv_forward_jvp(point.x, point.tangent, adj, point.params, clusters=cls)[0],
-            getconv_forward(point.x, adj, point.params, clusters=cls),
+            jvp(point.x, point.tangent, *point.args)[0], forward(point.x, *point.args)
         )
 
     def test_masked_getconv_jvp_tangent_matches_central_differences(self):
-        worst = 0.0
         for seed in range(5):
-            point = random_check_point("getconv", seed)
-            adj = grid_adjacency(point.shape, point.spec)
-            cls = np.random.default_rng(seed).integers(0, 3, size=adj.shape.n_nodes)
-
-            def forward(x):
-                return getconv_forward(x, adj, point.params, clusters=cls)
-
-            step = FD_STEP * point.tangent
-            fd = (forward(point.x + step) - forward(point.x - step)) / (2.0 * FD_STEP)
-            analytic = getconv_forward_jvp(
-                point.x, point.tangent, adj, point.params, clusters=cls
-            )[1]
-            scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
-            worst = max(worst, np.abs(analytic - fd).max() / scale)
-        assert worst < JACOBIAN_TOL
+            rep = jacobian_check(masked_point(seed))
+            assert rep.passed and rep.max_rel_err < JACOBIAN_TOL, f"seed {seed}: {rep}"
 
     def test_diffusivity_derivative_at_zero_queries(self):
         # with all queries zero, every edge weight is exp(0) = 1 and the
@@ -89,9 +77,7 @@ class TestJacobianCheck:
 
     def test_clamped_region_is_flat(self):
         point = random_check_point("diffusivity", seed=0)
-        point = CheckPoint(
-            point.op, point.shape, point.spec, np.full_like(point.x, 20.0), point.tangent
-        )
+        point = CheckPoint(point.op, np.full_like(point.x, 20.0), point.tangent, point.args)
         rep = jacobian_check(point)
         assert rep.passed
         assert rep.max_rel_err == 0.0

@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from flowseg import evaluate, gcm, gt_displacement, read_field, read_map, synth, write_field, write_map
-from flowseg.cli import cli
+from flowseg.cli import _build_parser, cli
 from oracles import components8
 
 
@@ -159,3 +160,21 @@ def test_cli_is_deterministic(tmp_path):
     for out in (a, b):
         cli(["synth", "random-voronoi", str(out), "--seed", "3"])
     assert a.read_bytes() == b.read_bytes()
+
+
+# the CLI and the library give the same map for the same field only while
+# every option the CLI leaves out has the library's default
+@pytest.mark.parametrize(
+    "argv, library",
+    [(["cluster", "e.pgm", "f.df", "o.pgm"], gcm), (["gen-df", "l.pgm", "f.df"], gt_displacement)],
+    ids=["cluster", "gen-df"],
+)
+def test_cli_defaults_are_the_library_defaults(argv, library):
+    args = vars(_build_parser().parse_args(argv))
+    defaults = {
+        name: p.default
+        for name, p in inspect.signature(library).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+    assert len(defaults) == 2
+    assert {name: args[name] for name in defaults} == defaults

@@ -50,6 +50,22 @@ class TestMapFiles:
         with pytest.raises(ParseError, match="maxval"):
             read_map(path)
 
+    # 300 equals maxval and passes; 301 is the first sample above it
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"P5 2 1 10\n" + bytes([200, 3]), 10),
+            (b"P5 3 1 300\n" + bytes([1, 44, 1, 45, 0, 0]), 13),
+        ],
+        ids=["1-byte", "2-byte"],
+    )
+    def test_sample_above_maxval(self, tmp_path, data, offset):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="above maxval") as err:
+            read_map(path)
+        assert err.value.offset == offset
+
     def test_non_integer_header(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\nxx 2\n255\n\x00\x00")

@@ -472,6 +472,18 @@ class TestIsotropicForward:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("name, bad", [("bq", np.inf), ("bk", -np.inf)])
+    def test_rejects_a_non_finite_query_or_key(self, name, bad):
+        # unchecked, every exponent clamped to EXP_CLAMP (or every weight was
+        # 0) and the output looked finite
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = dataclasses.replace(random_iso_params(np.random.default_rng(17), 3), **{name: bad})
+        z = np.random.default_rng(18).normal(size=(16, 3))
+        with pytest.raises(ValueError, match="must be finite"):
+            isotropic_attention_forward(z, adj, params)
+        with pytest.raises(ValueError, match="must be finite"):
+            isotropic_attention_forward_jvp(z, np.ones_like(z), adj, params)
+
 
 def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
     # wrappers put around query_messages and diffusivity (timing, counting)

@@ -134,3 +134,23 @@ def test_every_public_definition_has_a_caller():
     uncalled = {name for name in defined if name.rpartition(".")[2] not in used}
     missing = sorted(uncalled - UNCALLED_BY_DESIGN)
     assert not missing, f"no caller in src/, perfbench/ or the entry points: {missing}"
+
+
+def test_every_import_is_read():
+    # so that a deletion cannot leave a dead import behind; __init__.py's
+    # imports are the package's exports
+    unread = []
+    for path in sorted((ROOT / "src" / "flowseg").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}: {name}" for name in sorted(imported - read)]
+    assert not unread, f"imported but never read: {unread}"
