@@ -5,9 +5,10 @@ Two kinds of evidence:
 * a spatial-permutation probe showing the anisotropic layer separates two
   nodes whose neighbor feature multisets are identical but arranged
   differently, while the isotropic baseline provably cannot
-* finite-difference Jacobian checks comparing each forward's hand-derived
-  directional derivative against central differences at a :class:`CheckPoint`,
-  whose ``args`` are what the op takes after its input: grid, then parameters
+* finite-difference Jacobian checks of each hand-derived JVP (diffusivity,
+  getconv, getblock; the isotropic baseline has none) against central
+  differences at a :class:`CheckPoint`, whose ``args`` are what the op takes
+  after its input: grid, then parameters
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .getconv import (
     getconv_forward,
     getconv_forward_jvp,
     isotropic_attention_forward,
-    isotropic_attention_forward_jvp,
     random_iso_params,
     random_layer_params,
 )
@@ -35,7 +35,6 @@ _OPS = {
     "diffusivity": (diffusivity, diffusivity_jvp),
     "getconv": (getconv_forward, getconv_forward_jvp),
     "getblock": (getblock_forward, getblock_forward_jvp),
-    "isotropic": (isotropic_attention_forward, isotropic_attention_forward_jvp),
 }
 JACOBIAN_OPS = tuple(_OPS)
 CHANNELS = 4  # feature width of every probe and check point
@@ -127,8 +126,6 @@ def random_check_point(op: str, seed: int) -> CheckPoint:
     x = 0.5 * rng.normal(size=(side, side, width) if op == "getblock" else (side * side, width))
     if op == "diffusivity":
         args = (adj,)
-    elif op == "isotropic":
-        args = (adj, random_iso_params(rng, CHANNELS))
     elif op == "getconv":
         args = (adj, random_layer_params(rng, CHANNELS, adj.n_slots))
     else:

@@ -5,9 +5,10 @@ query messages: a node emits one query per stencil slot, and the weight of
 edge (i, j) is ``exp(q[i, slot of j] + q[j, slot of i])``. Because the weight
 reads the *slot*, not just the endpoint identities, spatially permuting two
 neighbors with identical feature multisets changes the aggregate; the
-isotropic baseline in this module cannot tell them apart.
+isotropic baseline in this module cannot tell them apart. That baseline is a
+forward only, the contrast of the isomorphism probe.
 
-Every forward here has a ``*_jvp`` returning the primal output and its
+Every other forward here has a ``*_jvp`` returning the primal output and its
 directional derivative, used by the finite-difference checks. Both are built
 from the same private primitives (query perceptron, edge weights,
 standardization, residual update), each of which takes an optional tangent,
@@ -417,16 +418,14 @@ def getblock_forward_jvp(grid_feats, tangent, spec, params):
     return out.reshape(grid.shape), dout.reshape(grid.shape)
 
 
-def _iso_weights(z, dz, adj, params):
-    """Slot-blind weights ``exp(q_i + k_j)`` from row-wise linear maps, and
-    their derivative along ``dz`` when given."""
+def _iso_weights(z, adj, params):
+    """Slot-blind weights ``exp(q_i + k_j)`` from row-wise linear maps."""
     # an inf query or key would come out as the finite clamped weight exp(EXP_CLAMP)
     q = require_finite(z @ params.wq + params.bq, "queries")
     k = require_finite(z @ params.wk + params.bk, "keys")
     e = q[:, None] + k[adj.nbr_safe]
-    de = None if dz is None else (dz @ params.wq)[:, None] + (dz @ params.wk)[adj.nbr_safe]
-    _edge_weights(e, de, adj.valid)
-    return e, de
+    _edge_weights(e, None, adj.valid)
+    return e
 
 
 def isotropic_attention_forward(
@@ -437,13 +436,8 @@ def isotropic_attention_forward(
     The per-node query/key scalars come from row-wise linear maps, so the
     aggregate is a pure multiset function of the neighborhood: permuting
     neighbors' spatial positions cannot change it. Aggregation, normalization,
-    and residual are shared with :func:`getconv_forward`.
+    and residual are shared with :func:`getconv_forward`. It is the contrast
+    of the isomorphism probe only, so it has no JVP.
     """
     z = _check_forward_input(feats, adj)
-    return _update(z, z, list(_iso_weights(z, None, adj, params)), adj, params)[0]
-
-
-def isotropic_attention_forward_jvp(feats, tangent, adj, params):
-    z = _check_forward_input(feats, adj)
-    dz = _check_tangent(tangent, z)
-    return _update(z, z, list(_iso_weights(z, dz, adj, params)), adj, params, dres=dz, dfeats=dz)
+    return _update(z, z, [_iso_weights(z, adj, params), None], adj, params)[0]

@@ -69,14 +69,12 @@ def _grid_of_instances(shape, k):
         raise ValueError(f"{h}x{w} too small for {k} tiled instances")
     row_edges = np.linspace(0, h, side + 1).astype(int)
     col_edges = np.linspace(0, w, side + 1).astype(int)
-    labels = np.zeros((h, w), dtype=np.int64)
-    next_id = 1
-    for bi in range(side):
-        for bj in range(side):
-            if next_id > k:
-                break
-            labels[row_edges[bi] : row_edges[bi + 1], col_edges[bj] : col_edges[bj + 1]] = next_id
-            next_id += 1
+    # pixel (r, c) lies in tile (bi[r], bj[c]), numbered in raster order from 1;
+    # the tiles numbered above k stay background
+    bi = np.searchsorted(row_edges, np.arange(h), side="right") - 1
+    bj = np.searchsorted(col_edges, np.arange(w), side="right") - 1
+    labels = (bi[:, None] * side + bj + 1).astype(np.int64)
+    labels[labels > k] = 0
     return labels
 
 

@@ -1,10 +1,13 @@
+import ast
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowseg import evaluate, gcm, gt_displacement, read_field, read_map, synth, write_field, write_map
+from flowseg.checks import JACOBIAN_OPS
 from flowseg.cli import _build_parser, cli
 from oracles import components8
 
@@ -153,6 +156,20 @@ def test_getconv_check_rejects_a_count_below_one(flag, count, capsys):
     captured = capsys.readouterr()
     assert f"{flag} must be >= 1" in captured.err
     assert "ok" not in captured.out
+
+
+def test_getconv_check_checks_the_ops_of_criterion_6(capsys):
+    # CI's getconv-check stands for acceptance criterion 6: same ops, one line each
+    source = (Path(__file__).parent / "test_acceptance.py").read_text()
+    criterion = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "test_criterion_6_jacobian_checks"
+    )
+    loop = next(node for node in ast.walk(criterion) if isinstance(node, ast.For))
+    assert JACOBIAN_OPS == ast.literal_eval(loop.iter) == ("diffusivity", "getconv", "getblock")
+    assert cli(["getconv-check", "--seeds", "4", "--points", "1"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("jacobian ")]
+    assert [line.split(":")[0] for line in lines] == [f"jacobian {op}" for op in JACOBIAN_OPS]
 
 
 def test_cli_is_deterministic(tmp_path):

@@ -19,7 +19,6 @@ from flowseg.getconv import (
     getconv_forward,
     getconv_forward_jvp,
     isotropic_attention_forward,
-    isotropic_attention_forward_jvp,
     query_messages,
     random_iso_params,
     random_layer_params,
@@ -265,7 +264,6 @@ def _tangent_jvps():
     adj = grid_adjacency(GridShape(4, 4), square(3))
     z = rng.normal(size=(16, 3))
     params = random_layer_params(rng, 3, adj.n_slots, kernel=3)
-    iso = random_iso_params(rng, 3)
     q = query_messages(z, params)
     return {
         "diffusivity": (lambda t: diffusivity_jvp(q, t, adj), (16, 8)),
@@ -274,7 +272,6 @@ def _tangent_jvps():
             lambda t: getblock_forward_jvp(z.reshape(4, 4, 3), t, square(3), params),
             (4, 4, 3),
         ),
-        "isotropic": (lambda t: isotropic_attention_forward_jvp(z, t, adj, iso), z.shape),
     }
 
 
@@ -481,8 +478,6 @@ class TestIsotropicForward:
         z = np.random.default_rng(18).normal(size=(16, 3))
         with pytest.raises(ValueError, match="must be finite"):
             isotropic_attention_forward(z, adj, params)
-        with pytest.raises(ValueError, match="must be finite"):
-            isotropic_attention_forward_jvp(z, np.ones_like(z), adj, params)
 
 
 def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
@@ -533,7 +528,6 @@ def _weight_producers():
     q = 40.0 * rng.normal(size=(42, adj.n_slots))
     iso = random_iso_params(rng, 3)
     iso.wq, iso.wk = 60.0 * iso.wq, 60.0 * iso.wk
-    iso_jvp = flowseg.getconv._iso_weights(z, z, adj, iso)
     s, ds = diffusivity_jvp(q, rng.normal(size=q.shape), adj)
     confined = flowseg.getconv._confine(s.copy(), ds.copy(), np.arange(42) % 3, adj)
     weights = {
@@ -542,8 +536,7 @@ def _weight_producers():
         "diffusivity_jvp tangent": ds,
         "confined primal": confined[0],
         "confined tangent": confined[1],
-        "isotropic primal": iso_jvp[0],
-        "isotropic tangent": iso_jvp[1],
+        "isotropic": flowseg.getconv._iso_weights(z, adj, iso),
     }
     return adj, weights
 
@@ -603,7 +596,6 @@ def _layer_outputs(h, w, channels, spec, seed=30):
         getconv_forward(z, adj, params, clusters=clusters),
         *getconv_forward_jvp(z, dz, adj, params, clusters=clusters),
         isotropic_attention_forward(z, adj, iso),
-        *isotropic_attention_forward_jvp(z, dz, adj, iso),
     ]
     if channels:  # an (h, w, 0) grid does not reshape to (N, 0)
         grid, dgrid = z.reshape(h, w, channels), dz.reshape(h, w, channels)
