@@ -22,7 +22,9 @@ before the threads start, so no sum crosses a block or a thread. The query
 perceptron's BLAS products are never split, since BLAS picks its kernel by
 the matrix sizes; in a JVP, the tangent's products run beside the primal's.
 Normalization and the residual stay on the calling thread: they are bound by
-memory traffic, and a mean split by rows would sum in another order.
+memory traffic, and a mean split by rows would sum in another order. Under
+clusters, each cluster's mean is summed over its own rows in row order, as if
+it were alone, though the clusters of one size are normalized as one block.
 """
 
 from __future__ import annotations
@@ -148,11 +150,6 @@ def _check_tangent(tangent, primal):
     return require_finite(np.asarray(dx, dtype=np.float64), "tangent")
 
 
-def _pair_sum(x, adj, rows, out):
-    # x[i, c] + x[j, recip[c]] for j = nbr_safe[i, c], i in rows, into out
-    return np.add(x[adj.nbr_safe[rows], adj.recip], x[rows], out=out)
-
-
 def _edge_weights(e, de, valid):
     """In place on a block of rows: ``e`` to ``exp(min(e, EXP_CLAMP))``, and
     ``de``, when given, to the derivative along it, 0 on the clamp; both
@@ -176,11 +173,10 @@ def _pair_weights(q, dq, adj):
     ds = None if dq is None else np.empty_like(s)
 
     def block(rows):
-        _edge_weights(
-            _pair_sum(q, adj, rows, s[rows]),
-            None if dq is None else _pair_sum(dq, adj, rows, ds[rows]),
-            adj.valid[rows],
-        )
+        # x[i, c] + x[j, recip[c]] for j = nbr_safe[i, c], i in rows, into out
+        pair_sum = lambda x, out: np.add(x[adj.nbr_safe[rows], adj.recip], x[rows], out=out)
+        de = None if dq is None else pair_sum(dq, ds[rows])
+        _edge_weights(pair_sum(q, s[rows]), de, adj.valid[rows])
 
     _on_two_threads(block, _row_blocks(*s.shape))
     return s, ds
@@ -216,12 +212,11 @@ def diffusivity_jvp(queries, tangent, adj):
 
 
 def _confine(s, ds, clusters, adj):
-    """In place, zero the weights in ``s`` and ``ds`` (when given) of every edge
-    between two clusters; return both, the rows ordered by cluster id (each
-    cluster's rows ascending) and the bounds of each cluster in that order.
-    Without clusters, the order is None and the one group is every row."""
+    """Check the cluster ids, zero in place the weights in ``s`` and ``ds``
+    (when given) of every edge between two clusters, and return the ids as one
+    flat array; None without clusters."""
     if clusters is None:
-        return s, ds, None, [0, adj.shape.n_nodes]
+        return None
     cls = np.asarray(clusters).ravel()
     if cls.shape[0] != adj.shape.n_nodes:
         raise ValueError("cluster ids must cover all nodes")
@@ -233,53 +228,53 @@ def _confine(s, ds, clusters, adj):
     for x in (s, ds):
         if x is not None:
             x[cut] = 0.0
-    order = np.argsort(cls, kind="stable")
-    ids = cls[order]
-    return s, ds, order, np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1, len(cls)]
+    return cls
 
 
-def _standardize(x, dx, order, bounds):
-    """Per-channel zero-mean unit-variance over nodes (population variance,
-    no epsilon), and its derivative along ``dx`` when given; a constant channel
-    standardizes to exactly 0. Statistics are taken within each group of rows
-    ``order[bounds[k]:bounds[k + 1]]`` (all rows in their order when ``order``
-    is None). Overwrites ``x`` and ``dx`` unless they are reordered first.
+def _standardize(x, dx, cls):
+    """In place, per-channel zero-mean unit-variance over nodes (population
+    variance, no epsilon), and its derivative along ``dx`` when given; a
+    constant channel standardizes to exactly 0. Statistics are taken within
+    each cluster of ``cls``, over all rows when it is None.
 
-    Every step is element-wise or a mean over all of a group's rows, which
-    reduces each column in row order. The steps are bound by memory traffic,
-    not arithmetic, so they run on the calling thread, in place, with one
-    scratch array for the squares and one for the products."""
-    if order is not None:
-        x = x[order]
-        dx = None if dx is None else dx[order]
-    sq = np.empty_like(x)
-    prod = None if dx is None else np.empty_like(x)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        c, t = x[a:b], sq[a:b]
-        c -= c.mean(axis=0)
-        std = np.sqrt(np.square(c, out=t).mean(axis=0))
+    The clusters of one size are gathered as one (clusters, size, C) block,
+    each cluster's rows ascending, and written back; without clusters the one
+    block is a view of all rows. Every step is element-wise or a mean over a
+    cluster's rows, so each cluster's mean is summed in row order, as if it
+    were standardized alone. The steps are bound by memory traffic, not
+    arithmetic, so they run on the calling thread."""
+    if cls is None:
+        blocks = [None]
+    else:
+        _, inverse, counts = np.unique(cls, return_inverse=True, return_counts=True)
+        size = counts[inverse]
+        # by (cluster size, cluster); a stable sort keeps each cluster's rows ascending
+        order = np.lexsort((inverse, size))
+        cuts = np.flatnonzero(np.diff(size[order])) + 1
+        blocks = [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts)]
+    for rows in blocks:
+        c = x[None] if rows is None else x[rows]
+        c -= c.mean(axis=1, keepdims=True)
+        t = np.square(c)
+        std = np.sqrt(t.mean(axis=1, keepdims=True))
         pos = std > 0
         safe = np.where(pos, std, 1.0)
         if dx is not None:
-            dc, u = dx[a:b], prod[a:b]
-            dc -= dc.mean(axis=0)
-            dvar = 2.0 * np.multiply(c, dc, out=u).mean(axis=0)
+            dc = dx[None] if rows is None else dx[rows]
+            dc -= dc.mean(axis=1, keepdims=True)
+            dvar = 2.0 * np.multiply(c, dc, out=t).mean(axis=1, keepdims=True)
             # dc / safe - c * dvar / (2 safe^3), in the order of that expression
-            np.multiply(c, dvar, out=u)
-            u /= 2.0 * safe**3
+            np.multiply(c, dvar, out=t)
+            t /= 2.0 * safe**3
             dc /= safe
-            dc -= u
-            dc[:, ~pos] = 0.0
+            dc -= t
+            np.copyto(dc, 0.0, where=~pos)
+            if rows is not None:
+                dx[rows] = dc
         c /= safe
-        c[:, ~pos] = 0.0
-    if order is None:
-        return x, dx
-    out = np.empty_like(x)
-    out[order] = x
-    if dx is not None:
-        sq[order] = dx
-        dx = sq
-    return out, dx
+        np.copyto(c, 0.0, where=~pos)
+        if rows is not None:
+            x[rows] = c
 
 
 def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=None):
@@ -289,14 +284,14 @@ def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=N
     early."""
     s, ds = weights
     weights.clear()
-    s, ds, order, bounds = _confine(s, ds, clusters, adj)
-    agg = stencil_sum(s, feats, adj)
-    dagg = None
+    cls = _confine(s, ds, clusters, adj)
+    y = stencil_sum(s, feats, adj)
+    dy = None
     if ds is not None:
-        dagg = stencil_sum(ds, feats, adj)
-        dagg += stencil_sum(s, dfeats, adj)
+        dy = stencil_sum(ds, feats, adj)
+        dy += stencil_sum(s, dfeats, adj)
     del s, ds
-    y, dy = _standardize(agg, dagg, order, bounds)
+    _standardize(y, dy, cls)
     # in place: y * gamma + res is res + y * gamma, bit for bit
     y *= params.gamma
     y += res

@@ -84,7 +84,6 @@ def require_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=None)
 def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
     """All stencil offsets in raster order, center excluded.
 
@@ -126,7 +125,7 @@ class GridAdjacency:
         return self.nbr_safe.shape[1]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)  # a layer reuses 2 or 3 tables; a 1024² disk(5) one is ~420 MB
 def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     offs = np.array(stencil_offsets(spec), dtype=np.int64).reshape(-1, 2)
     n = shape.n_nodes

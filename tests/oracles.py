@@ -399,6 +399,34 @@ def random_label_map(rng, h, w, max_instances=5):
     return labels
 
 
+def eroded_with_specks(labels, rng, n_specks):
+    """A ground truth and a prediction as a segmentation network might give.
+
+    The ground truth is ``labels`` with every cell eroded by 2 px (Chebyshev):
+    a pixel keeps its id only if its whole 5x5 window lies in the grid and in
+    its own cell. The prediction adds ``n_specks`` 3x3 specks with new ids,
+    each wholly in the eroded background and overlapping no other speck, at
+    corners drawn from ``rng`` until that many fit.
+    """
+    h, w = labels.shape
+    padded = np.pad(labels, 2)
+    keep = labels > 0
+    for dr in range(5):
+        for dc in range(5):
+            keep &= padded[dr : dr + h, dc : dc + w] == labels
+    gt = np.where(keep, labels, 0)
+    pred = gt.copy()
+    next_id = int(labels.max()) + 1
+    for _ in range(1000 * n_specks):
+        if next_id > labels.max() + n_specks:
+            return gt, pred
+        r, c = int(rng.integers(0, h - 2)), int(rng.integers(0, w - 2))
+        if not pred[r : r + 3, c : c + 3].any():
+            pred[r : r + 3, c : c + 3] = next_id
+            next_id += 1
+    raise ValueError(f"{n_specks} specks do not fit in the eroded background")
+
+
 def random_instance_pair(rng, h, w):
     """A ground-truth map and a perturbed prediction with partial overlaps."""
     gt = random_label_map(rng, h, w)

@@ -1,7 +1,10 @@
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +204,29 @@ class TestGetconvForward:
             getconv_forward_jvp(z, dz, adj, params),
         ):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("channels", [0, 1, 6])
+    def test_each_cluster_standardizes_as_if_alone(self, channels):
+        # the clusters of one size share a block, yet each cluster's mean is
+        # summed over its own rows in row order; at 8 and 9 rows a pairwise
+        # or segment sum rounds differently
+        rng = np.random.default_rng(12)
+        sizes = [1, 1, 2, 3, 3, 4, 5, 6, 7, 8, 8, 9, 9]
+        cls = rng.permutation(np.repeat(7 * np.arange(len(sizes)) - 20, sizes))
+        scale = 10.0 ** rng.uniform(-3, 3, size=(len(cls), channels))
+        x, dx = scale * rng.normal(size=scale.shape), scale * rng.normal(size=scale.shape)
+        if channels > 1:
+            x[:, 1] = 0.1  # a constant channel
+        got, dgot, fwd = x.copy(), dx.copy(), x.copy()
+        flowseg.getconv._standardize(got, dgot, cls)
+        flowseg.getconv._standardize(fwd, None, cls)
+        for k in np.unique(cls):
+            rows = np.flatnonzero(cls == k)
+            want, dwant = x[rows], dx[rows]
+            flowseg.getconv._standardize(want, dwant, None)
+            np.testing.assert_array_equal(got[rows], want)
+            np.testing.assert_array_equal(dgot[rows], dwant)
+            np.testing.assert_array_equal(fwd[rows], want)
 
     def test_rejects_non_integer_clusters(self):
         # a NaN id used to fall in no group, leaving its output rows unwritten
@@ -529,7 +555,8 @@ def _weight_producers():
     iso = random_iso_params(rng, 3)
     iso.wq, iso.wk = 60.0 * iso.wq, 60.0 * iso.wk
     s, ds = diffusivity_jvp(q, rng.normal(size=q.shape), adj)
-    confined = flowseg.getconv._confine(s.copy(), ds.copy(), np.arange(42) % 3, adj)
+    confined = s.copy(), ds.copy()
+    flowseg.getconv._confine(*confined, np.arange(42) % 3, adj)
     weights = {
         "diffusivity": diffusivity(q, adj),
         "diffusivity_jvp primal": s,
@@ -626,6 +653,47 @@ def test_two_threads_bit_identical_to_serial(monkeypatch, h, w, channels, spec):
     for got, want in zip(threaded, serial):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from flowseg import getconv as gc
+from flowseg.grid import GridShape, grid_adjacency, square
+rng = np.random.default_rng(33)
+adj = grid_adjacency(GridShape(32, 32), square(3))
+z, dz = rng.normal(size=(1024, 32)), rng.normal(size=(1024, 32))
+params = gc.random_layer_params(rng, 32, adj.n_slots, kernel=3)
+cls = rng.integers(0, 40, size=1024)
+grid, dgrid = z.reshape(32, 32, 32), dz.reshape(32, 32, 32)
+outs = [
+    gc.getconv_forward(z, adj, params),
+    *gc.getconv_forward_jvp(z, dz, adj, params),
+    gc.getconv_forward(z, adj, params, clusters=cls),
+    *gc.getconv_forward_jvp(z, dz, adj, params, clusters=cls),
+    gc.getblock_forward(grid, square(3), params),
+    *gc.getblock_forward_jvp(grid, dgrid, square(3), params),
+]
+print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # at 1,024 nodes and C=32 the query products are large enough for
+    # OpenBLAS to split them over two threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        runs.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _BLAS_DIGEST], env=env, stdout=subprocess.PIPE, text=True
+            )
+        )
+    digests = [run.communicate(timeout=60)[0].strip() for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("width, rows", [(80, 512), (8, 5120), (0, 40960), (10**6, 1)])

@@ -1,10 +1,13 @@
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flowseg
 from flowseg.grid import (
     GridShape,
     disk,
@@ -229,9 +232,7 @@ def test_neighbour_table_is_in_the_csr_index_dtype():
     "shape, spec", [(GridShape(64, 64), disk(5)), (GridShape(9, 11), disk(40))]
 )
 def test_adjacency_build_peak_is_at_most_twice_what_it_keeps(shape, spec):
-    # the offsets are cached on their own; bypass the table cache so that the
-    # tables are built under the trace
-    stencil_offsets(spec)
+    # bypass the table cache so that the tables are built under the trace
     tracemalloc.start()
     try:
         adj = grid_adjacency.__wrapped__(shape, spec)
@@ -240,3 +241,15 @@ def test_adjacency_build_peak_is_at_most_twice_what_it_keeps(shape, spec):
         tracemalloc.stop()
     kept = adj.nbr_safe.nbytes + adj.valid.nbytes + adj.recip.nbytes
     assert peak <= 2 * kept
+
+
+def test_adjacency_cache_keeps_at_most_four_tables(monkeypatch):
+    # one 1024x1024 disk(5) entry holds about 420 MB; a layer reuses two or
+    # three tables
+    for side in range(2, 7):
+        grid_adjacency(GridShape(side, 3), square(3))
+    assert grid_adjacency.cache_info().currsize <= 4
+    # the benchmark empties the cache before each cold pass
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    assert importlib.import_module("tracing")._clear_tables(flowseg)
+    assert grid_adjacency.cache_info().currsize == 0
