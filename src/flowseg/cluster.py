@@ -40,7 +40,8 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
 
     Each node gets one out-edge to the pixel at its own position plus its
     displacement vector, with both coordinates rounded half away from zero and
-    clamped into the grid. A zero vector yields a self-loop.
+    clamped into the grid. A zero vector yields a self-loop. The messages are
+    int64 for a bool or integer energy and float64 for a floating one.
     """
     f = np.asarray(field, dtype=np.float64)
     e = np.asarray(energy)
@@ -57,15 +58,18 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     tc = _round_half_away(cols + f[..., 1].ravel())
     tr = np.clip(tr, 0, shape.h - 1).astype(np.int64)
     tc = np.clip(tc, 0, shape.w - 1).astype(np.int64)
-    return TransmitGraph(shape, tr * shape.w + tc, e.ravel().copy())
+    mes = e.ravel().astype(np.float64 if e.dtype.kind == "f" else np.int64)
+    return TransmitGraph(shape, tr * shape.w + tc, mes)
 
 
 def contract(tg: TransmitGraph, t0: int = 2) -> TransmitGraph:
     """``t0`` rounds of simultaneous message accumulation along the out-edges.
 
     Each round, a node's message becomes the sum of the messages of the nodes
-    pointing to it (zero for in-degree 0). Every node forwards to exactly one
-    target, so the total message is conserved; integer messages stay integer.
+    pointing to it (zero for in-degree 0), in the messages' own dtype. Every
+    node forwards to exactly one target, so the total message is conserved:
+    exactly for :func:`build_tg`'s int64 messages, which do not wrap as a
+    narrower integer would, nor saturate as a bool would.
     """
     if t0 < 0:
         raise ValueError("t0 must be >= 0")

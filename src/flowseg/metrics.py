@@ -20,21 +20,22 @@ background). Conventions, declared once and used by every metric:
   their object (out-of-grid counts as outside); distances are Euclidean
 
 Maps must hold non-negative integer ids. A public metric extracts each map's
-objects and their overlap matrix once, and ``evaluate`` extracts them once for
-all four of its calls; extraction sorts only the values of the map's raster runs
-of equal ids. Each directional sum adds the per-object contributions one at a
-time in raster order of the objects, starting from 0.0, so every score equals
-the brute-force oracle's bit for bit. Boundaries come from one pass over each
-map, which lifts every boundary point once for the squared-distance products,
-and the Hausdorff distance is exact: squared distances of integer pixel
-coordinates need no rounding. Two objects that are the same pixel set are at
-distance 0 and need no boundary, so ``evaluate(m, m)`` builds none. For any
-other pair, each boundary has a ball (centre ``c``, radius ``r`` plus 1 px of
-slack) holding all its points. When the distances of the wider ball's boundary
-points to the narrower ball's ``c`` spread over at least that ball's ``2 r``,
-the wider boundary's directed distance is the symmetric one, and only its
-points within ``2 r`` of the largest such distance can attain it (proof at
-``_hausdorff``): only those are measured. Otherwise the full product is taken.
+objects once, and the overlapping pairs as the objects of one joint map, so no
+table spans every pair; ``evaluate`` extracts once for all four of its calls.
+One rule picks each object's best counterpart and each detection match. Each
+directional sum adds the per-object contributions one at a time in raster order
+of the objects, starting from 0.0, so every score equals the brute-force
+oracle's bit for bit. Boundaries come from one pass over each map, which lifts
+every boundary point once for the squared-distance products, and the Hausdorff
+distance is exact: squared distances of integer pixel coordinates need no
+rounding. Two objects that are the same pixel set are at distance 0 and need no
+boundary, so ``evaluate(m, m)`` builds none. For any other pair, each boundary
+has a ball (centre ``c``, radius ``r`` plus 1 px of slack) holding all its
+points. When the distances of the wider ball's boundary points to the narrower
+ball's ``c`` spread over at least that ball's ``2 r``, the wider boundary's
+directed distance is the symmetric one, and only its points within ``2 r`` of
+the largest such distance can attain it (proof at ``_hausdorff``): only those
+are measured. Otherwise the full product is taken.
 """
 
 from __future__ import annotations
@@ -81,15 +82,25 @@ def _extract(m: np.ndarray) -> _ObjectSet:
     return _ObjectSet(ids=uniq[fg][order], index=index, areas=areas[fg][order])
 
 
-def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple[_ObjectSet, _ObjectSet, np.ndarray]:
-    """Object sets of both maps and their (n_gt, n_pred) overlap matrix."""
+def _best(rows: np.ndarray, cols: np.ndarray, n: np.ndarray, size: int) -> np.ndarray:
+    """One (2, size) array: per row 0..size-1, the column of largest ``n`` (the
+    lowest on a tie), then that ``n``; -1 and 0 for a row with no entry."""
+    order = np.lexsort((cols, -n, rows))
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    best = np.full((2, size), [[-1], [0]])
+    best[:, rows[first]] = cols[first], n[first]
+    return best
+
+
+def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple:
+    """Object sets of both maps, then each side's ``_best`` (counterparts, shared pixels)."""
     g, p = _extract(gt), _extract(pred)
     if g.index.shape != p.index.shape:
         raise ValueError("prediction and ground truth shapes differ")
     both = (g.index >= 0) & (p.index >= 0)
-    keys = g.index[both] * p.count + p.index[both]
-    counts = np.bincount(keys, minlength=g.count * p.count)
-    return g, p, counts.reshape(g.count, p.count)
+    pairs = _extract(np.where(both, g.index * p.count + p.index + 1, 0))
+    i, j = np.divmod(pairs.ids - 1, p.count)
+    return g, p, _best(i, j, pairs.areas, g.count), _best(j, i, pairs.areas, p.count)
 
 
 @dataclass
@@ -106,13 +117,13 @@ class MatchReport:
 
 def match_objects(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> MatchReport:
     """Detection match of every ground-truth object (module docstring rule)."""
-    g, p, overlap = _paired or _pair(pred, gt)
-    cand = np.where(2 * overlap > g.areas[:, None], overlap, 0)
-    # a leading zero row takes the argmax of a prediction that covers no GT
-    best = np.vstack([np.zeros((1, p.count), cand.dtype), cand]).argmax(axis=0) - 1
-    hit = np.flatnonzero(best >= 0)
+    g, p, (best, shared), _ = _paired or _pair(pred, gt)
+    # predictions are disjoint, so a strict majority is its object's best overlap
+    rows = np.flatnonzero(2 * shared > g.areas)
+    claim, _ = _best(best[rows], rows, shared[rows], p.count)
+    hit = np.flatnonzero(claim >= 0)
     matched = np.full(g.count, -1)
-    matched[best[hit]] = hit
+    matched[claim[hit]] = hit
     return MatchReport(
         tp=hit.size,
         fp=p.count - hit.size,
@@ -132,12 +143,6 @@ def obj_f1(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     return 2.0 * rep.tp / (2.0 * rep.tp + rep.fp + rep.fn)
 
 
-def _best_counterparts(overlap: np.ndarray) -> np.ndarray:
-    """Index of the max-overlap counterpart per row; -1 where there is no
-    overlap. Ties go to the earlier object."""
-    return np.where(overlap.max(axis=1) > 0, overlap.argmax(axis=1), -1)
-
-
 def _ordered_sum(terms: np.ndarray) -> float:
     """0.0 plus each term in turn, as a loop adds them (``np.sum`` pairs them)."""
     return float(np.cumsum(np.append(0.0, terms))[-1])
@@ -145,19 +150,15 @@ def _ordered_sum(terms: np.ndarray) -> float:
 
 def obj_dice(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     """Area-weighted symmetric object Dice; unmatched objects contribute 0."""
-    g, p, overlap = _paired or _pair(pred, gt)
+    g, p, gt_best, pred_best = _paired or _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 1.0
-    if g.count == 0 or p.count == 0:
-        return 0.0
 
-    def one_side(areas, other_areas, ov):
-        best = _best_counterparts(ov)
+    def one_side(areas, other_areas, best, shared):
         i = np.flatnonzero(best >= 0)
-        j = best[i]
-        return _ordered_sum(areas[i] / areas.sum() * 2.0 * ov[i, j] / (areas[i] + other_areas[j]))
+        return _ordered_sum(areas[i] / areas.sum() * 2.0 * shared[i] / (areas[i] + other_areas[best[i]]))
 
-    return 0.5 * (one_side(g.areas, p.areas, overlap) + one_side(p.areas, g.areas, overlap.T))
+    return 0.5 * (one_side(g.areas, p.areas, *gt_best) + one_side(p.areas, g.areas, *pred_best))
 
 
 def _lift(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +259,7 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
     maps empty of objects gives 0.0; exactly one empty gives the image
     diagonal.
     """
-    g, p, overlap = _paired or _pair(pred, gt)
+    g, p, (gt_best, gt_shared), (pred_best, _) = _paired or _pair(pred, gt)
     if g.count == 0 and p.count == 0:
         return 0.0
     h, w = g.index.shape
@@ -271,20 +272,20 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
 
     @functools.cache
     def hd(i, j):
-        if overlap[i, j] == g.areas[i] == p.areas[j]:
+        if gt_best[i] == j and gt_shared[i] == g.areas[i] == p.areas[j]:
             return 0.0  # the same pixel set
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def one_side(areas, ov, pair_hd, n_other):
+    def one_side(areas, best, pair_hd, n_other):
         dist = [
             pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
-            for i, j in enumerate(_best_counterparts(ov))
+            for i, j in enumerate(best)
         ]
         return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.areas, overlap, hd, p.count)
-    pred_side = one_side(p.areas, overlap.T, lambda j, i: hd(i, j), g.count)
+    gt_side = one_side(g.areas, gt_best, hd, p.count)
+    pred_side = one_side(p.areas, pred_best, lambda j, i: hd(i, j), g.count)
     return 0.5 * (gt_side + pred_side)
 
 
@@ -297,18 +298,17 @@ def evaluate(pred: np.ndarray, gt: np.ndarray) -> dict:
     with that match).
     """
     paired = _pair(pred, gt)
-    g, _, overlap = paired
+    g, _, (_, shared), _ = paired
     rep = match_objects(pred, gt, _paired=paired)
-    # a match covers a strict majority of its object, so no other prediction
-    # overlaps that object as much: the shared pixels are the row's maximum
+    # a match covers a strict majority, so it shares its object's best overlap
     per_object = [
         {
             "gt_id": gid,
             "pred_id": pid,
             "gt_area": int(area),
-            "overlap": 0 if pid is None else int(row.max()),
+            "overlap": 0 if pid is None else int(n),
         }
-        for gid, pid, area, row in zip(rep.gt_ids, rep.matched_pred, g.areas, overlap)
+        for gid, pid, area, n in zip(rep.gt_ids, rep.matched_pred, g.areas, shared)
     ]
     # the public names, not private helpers, so that a traced run times each metric
     return {

@@ -14,6 +14,7 @@ from flowseg.cluster import (
 )
 from flowseg.diffusion import gt_displacement
 from flowseg.grid import GridShape
+from flowseg.synth import synth
 from oracles import components8
 
 
@@ -135,6 +136,30 @@ class TestContract:
         tg = TransmitGraph(GridShape(1, 2), np.array([0, 1]), np.array([1, 1]))
         with pytest.raises(ValueError):
             contract(tg, -1)
+
+
+@pytest.fixture(scope="module")
+def voronoi_field():
+    return gt_displacement(synth("random-voronoi", (128, 128), 1))
+
+
+class TestNarrowEnergy:
+    """A bool or narrow integer energy gives int64 messages, so a node that
+    gathers more than the energy's dtype holds keeps the exact count."""
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int16])
+    @pytest.mark.parametrize("t0", [1, 2, 8])
+    def test_total_message_conserved(self, voronoi_field, dtype, t0):
+        tg = build_tg(voronoi_field, np.ones((128, 128), dtype=dtype))
+        assert contract(tg, t0).mes.sum() == 128 * 128
+
+    def test_a_seed_of_256_messages_survives_uint8_energy(self):
+        rr, cc = np.mgrid[0:16, 0:16]
+        field = np.stack([8 - rr, 8 - cc], axis=-1).astype(np.float64)
+        narrow = gcm(field, np.ones((16, 16), dtype=np.uint8), t0=1, t1=1)
+        wide = gcm(field, np.ones((16, 16), dtype=np.int64), t0=1, t1=1)
+        np.testing.assert_array_equal(wide, np.ones((16, 16)))
+        np.testing.assert_array_equal(narrow, wide)
 
 
 class TestConnectedComponents:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ def two_object_map():
     m[2:6, 2:6] = 3
     m[9:14, 8:15] = 7
     return m
+
+
+def shifted_tiles(h, w):
+    """A grid of 2x2 tiles and its copy shifted by (1, 1): each shifted tile
+    overlaps up to four tiles by 1 px, so every best overlap is an exact tie."""
+    r, c = np.mgrid[0:h, 0:w]
+    gt = (r // 2) * ((w + 1) // 2) + c // 2 + 1
+    pred = np.zeros_like(gt)
+    pred[1:, 1:] = gt[:-1, :-1]
+    return pred, gt
 
 
 def one_prediction_over_two_objects():
@@ -447,6 +458,13 @@ class TestOracleAgreement:
         pred[:, 2:] = gt[:, :-2]
         assert_equals_oracles(pred, gt)
 
+    # the raster tie-break on every pair, with 1 px and 2 px edge tiles at 13x11
+    @pytest.mark.parametrize("shape", [(12, 12), (13, 11)])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_exact_ties_everywhere(self, shape, swap):
+        pred, gt = shifted_tiles(*shape)
+        assert_equals_oracles(*((gt, pred) if swap else (pred, gt)))
+
 
 class TestEvaluate:
     def test_record_structure(self):
@@ -510,6 +528,17 @@ class TestEvaluate:
         gt = two_object_map()
         evaluate(np.where(gt == 3, 5, 0), gt)
         assert set(called) == {"match_objects", "obj_f1", "obj_dice", "obj_hd"}
+
+    def test_no_table_of_every_pair(self):
+        # 900 objects per side: one int64 n_gt x n_pred table alone is 6.5 MB
+        pred, gt = shifted_tiles(60, 60)
+        tracemalloc.start()
+        try:
+            evaluate(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_scores_equal_separate_calls(self):
         maps = weak_pruning_maps()
