@@ -16,7 +16,7 @@ import sys
 from .checks import JACOBIAN_OPS, JACOBIAN_TOL, isomorphism_probe, jacobian_check, random_check_point
 from .cluster import gcm
 from .diffusion import gt_displacement
-from .fileio import ParseError, read_field, read_map, write_field, write_map
+from .fileio import read_field, read_map, write_field, write_map
 from .metrics import evaluate
 from .synth import synth
 
@@ -136,7 +136,7 @@ def cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,9 @@ Every other forward here has a ``*_jvp`` returning the primal output and its
 directional derivative, used by the finite-difference checks. Both are built
 from the same private primitives (query perceptron, edge weights,
 standardization, residual update), each of which takes an optional tangent,
-so the primal half of every JVP is the forward's own arithmetic.
+so the primal half of every JVP is the forward's own arithmetic. Each entry
+point but :func:`pointwise` checks the shape of its features, queries or
+tangent, and rejects a NaN or inf in them, before any work starts.
 
 The costly steps run on two threads, and every output is the one-thread
 output bit for bit. The edge weights, the depthwise convolution and the
@@ -133,21 +135,19 @@ def _query(z, dz, params):
     return q, dq
 
 
+def _finite(x, shape, what):
+    """``x`` as float64, if it has ``shape`` (a name such as ``"C"`` matches any
+    length) and no NaN or inf, which would pass for data: an inf query gives the
+    clamped weight exp(EXP_CLAMP), and one NaN feature zeroes its channel."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != len(shape) or any(s != d for s, d in zip(shape, a.shape) if isinstance(s, int)):
+        raise ValueError(f"{what} must be ({', '.join(map(str, shape))}), got {a.shape}")
+    return require_finite(a, what)
+
+
 def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
     """Row-wise perceptron producing one query per stencil slot, (N, n)."""
-    z = np.asarray(feats, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != params.w1.shape[0]:
-        raise ValueError(f"features must be (N, {params.w1.shape[0]}), got {z.shape}")
-    return _query(z, None, params)[0]
-
-
-def _check_tangent(tangent, primal):
-    """``tangent`` as float64, if finite and shaped like ``primal``."""
-    dx = np.asarray(tangent)
-    if dx.shape != primal.shape:
-        raise ValueError(f"tangent must be {primal.shape}, got {dx.shape}")
-    # an inf tangent times a 0.0 weight is NaN
-    return require_finite(np.asarray(dx, dtype=np.float64), "tangent")
+    return _query(_finite(feats, ("N", params.w1.shape[0]), "features"), None, params)[0]
 
 
 def _edge_weights(e, de, valid):
@@ -182,14 +182,6 @@ def _pair_weights(q, dq, adj):
     return s, ds
 
 
-def _check_queries(queries, adj):
-    q = np.asarray(queries)
-    if q.shape != (adj.shape.n_nodes, adj.n_slots):
-        raise ValueError(f"queries must be {(adj.shape.n_nodes, adj.n_slots)}, got {q.shape}")
-    # an inf query would come out as the finite clamped weight exp(EXP_CLAMP)
-    return require_finite(np.asarray(q, dtype=np.float64), "queries")
-
-
 def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     """Per-edge weights from slot-indexed queries, (N, n_slots).
 
@@ -198,7 +190,7 @@ def diffusivity(queries: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     result is symmetric: ``s[i, c] == s[j, recip[c]]`` exactly. Non-finite
     queries are rejected.
     """
-    return _pair_weights(_check_queries(queries, adj), None, adj)[0]
+    return _pair_weights(_finite(queries, adj.nbr_safe.shape, "queries"), None, adj)[0]
 
 
 def diffusivity_jvp(queries, tangent, adj):
@@ -207,8 +199,8 @@ def diffusivity_jvp(queries, tangent, adj):
     The derivative is ``s * (dq_ij + dq_ji)`` off the clamp and exactly 0
     where the clamp is active.
     """
-    q = _check_queries(queries, adj)
-    return _pair_weights(q, _check_tangent(tangent, q), adj)
+    q = _finite(queries, adj.nbr_safe.shape, "queries")
+    return _pair_weights(q, _finite(tangent, q.shape, "tangent"), adj)
 
 
 def _confine(s, ds, clusters, adj):
@@ -303,14 +295,9 @@ def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=N
 
 
 def _check_forward_input(feats, adj):
-    z = np.asarray(feats)
-    n = adj.shape.n_nodes
-    if z.ndim != 2 or z.shape[0] != n:
-        raise ValueError(f"features must be (N, C) with N={n}, got {z.shape}")
-    if n < 2:
+    if adj.shape.n_nodes < 2:
         raise ValueError("normalization needs at least 2 nodes")
-    # one NaN would poison a channel's statistics and standardize it to 0
-    return require_finite(np.asarray(z, dtype=np.float64), "features")
+    return _finite(feats, (adj.shape.n_nodes, "C"), "features")
 
 
 def getconv_forward(
@@ -334,7 +321,7 @@ def getconv_forward(
 
 def getconv_forward_jvp(feats, tangent, adj, params, clusters=None):
     z = _check_forward_input(feats, adj)
-    dz = _check_tangent(tangent, z)
+    dz = _finite(tangent, z.shape, "tangent")
     weights = list(diffusivity_jvp(*_query(z, dz, params), adj))
     return _update(z, z, weights, adj, params, clusters, dres=dz, dfeats=dz)
 
@@ -348,10 +335,8 @@ def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     blocks of output rows on two threads, each block small enough to stay in
     cache across the k*k slices.
     """
-    img = np.asarray(grid_feats, dtype=np.float64)
+    img = _finite(grid_feats, ("h", "w", "C"), "grid features")
     ker = np.asarray(kernels, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError(f"grid features must be (h, w, C), got {img.shape}")
     h, w, cdim = img.shape
     k = ker.shape[2] if ker.ndim == 3 else 0
     if ker.shape != (cdim, k, k) or k % 2 == 0:
@@ -375,9 +360,7 @@ def pointwise(grid_feats: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _check_block_input(grid_feats, spec, params):
-    grid = np.asarray(grid_feats, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ValueError(f"grid features must be (h, w, C), got {grid.shape}")
+    grid = _finite(grid_feats, ("h", "w", "C"), "grid features")
     if params.dw is None or params.pw is None:
         raise ValueError("block forward needs dw and pw kernels")
     h, w, cdim = grid.shape
@@ -402,7 +385,7 @@ def getblock_forward(
 
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
     grid, z, adj = _check_block_input(grid_feats, spec, params)
-    dgrid = _check_tangent(tangent, grid)
+    dgrid = _finite(tangent, grid.shape, "tangent")
     mixed, dmixed = (
         pointwise(depthwise(x, params.dw), params.pw).reshape(z.shape) for x in (grid, dgrid)
     )

@@ -115,7 +115,6 @@ class GridAdjacency:
     """
 
     shape: GridShape
-    spec: NeighborhoodSpec
     nbr_safe: np.ndarray
     valid: np.ndarray
     recip: np.ndarray
@@ -141,7 +140,7 @@ def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     recip = np.arange(len(offs) - 1, -1, -1)
     for arr in (nbr_safe, valid, recip):
         arr.setflags(write=False)
-    return GridAdjacency(shape, spec, nbr_safe, valid, recip)
+    return GridAdjacency(shape, nbr_safe, valid, recip)
 
 
 def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:

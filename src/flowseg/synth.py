@@ -6,26 +6,10 @@ import re
 
 import numpy as np
 
-FIXTURES = (
-    "two-squares-separated",
-    "two-blobs-adherent",
-    "concave-horseshoe",
-    "grid-of-k-instances",
-    "random-voronoi",
-)
-
 _GRID_RE = re.compile(r"^grid-of-(\d+)-instances$")
 
 
-def _require(shape: tuple[int, int], minimum: int) -> tuple[int, int]:
-    h, w = shape
-    if h < minimum or w < minimum:
-        raise ValueError(f"fixture needs at least {minimum}x{minimum}, got {h}x{w}")
-    return h, w
-
-
-def _two_squares_separated(shape):
-    h, w = _require(shape, 12)
+def _two_squares_separated(h, w, _seed):
     labels = np.zeros((h, w), dtype=np.int64)
     side = max(3, min(h, w) // 3)
     labels[1 : 1 + side, 1 : 1 + side] = 1
@@ -33,9 +17,8 @@ def _two_squares_separated(shape):
     return labels
 
 
-def _two_blobs_adherent(shape):
+def _two_blobs_adherent(h, w, _seed):
     # one disk split down the middle: two instances sharing a vertical edge
-    h, w = _require(shape, 12)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     radius = min(h, w) // 2 - 1
     rr, cc = np.mgrid[0:h, 0:w]
@@ -46,9 +29,8 @@ def _two_blobs_adherent(shape):
     return labels
 
 
-def _concave_horseshoe(shape):
+def _concave_horseshoe(h, w, _seed):
     # upward-open U: two vertical arms joined by a bottom bar
-    h, w = _require(shape, 16)
     margin = max(2, min(h, w) // 8)
     thick = max(4, min(h, w) // 5)
     r0, r1 = margin, h - margin
@@ -79,7 +61,7 @@ def _grid_of_instances(shape, k):
 
 
 def _voronoi_sites(shape, seed) -> list[tuple[int, int]]:
-    h, w = _require(shape, 16)
+    h, w = shape
     rng = np.random.default_rng(seed)
     k = max(2, (h * w) // 600)
     min_dist = 0.4 * min(h, w)
@@ -93,9 +75,8 @@ def _voronoi_sites(shape, seed) -> list[tuple[int, int]]:
     return sites
 
 
-def _random_voronoi(shape, seed):
-    sites = _voronoi_sites(shape, seed)
-    h, w = shape
+def _random_voronoi(h, w, seed):
+    sites = _voronoi_sites((h, w), seed)
     # running minimum over sites; strict < keeps ties on the first site, as argmin does
     rr, cc = np.ogrid[0:h, 0:w]
     best = np.full((h, w), np.iinfo(np.int64).max)
@@ -108,6 +89,15 @@ def _random_voronoi(shape, seed):
     return labels
 
 
+# name -> (smallest side, builder of the (h, w) labels from h, w and the seed)
+_FIXTURES = {
+    "two-squares-separated": (12, _two_squares_separated),
+    "two-blobs-adherent": (12, _two_blobs_adherent),
+    "concave-horseshoe": (16, _concave_horseshoe),
+    "random-voronoi": (16, _random_voronoi),
+}
+
+
 def synth(name: str, shape: tuple[int, int], seed: int = 0) -> np.ndarray:
     """Deterministic (h, w) label map for a named fixture.
 
@@ -115,15 +105,14 @@ def synth(name: str, shape: tuple[int, int], seed: int = 0) -> np.ndarray:
     grid-of-<k>-instances, random-voronoi. Only the voronoi fixture uses the
     seed; the geometric ones depend on the shape alone.
     """
-    if name == "two-squares-separated":
-        return _two_squares_separated(shape)
-    if name == "two-blobs-adherent":
-        return _two_blobs_adherent(shape)
-    if name == "concave-horseshoe":
-        return _concave_horseshoe(shape)
-    if name == "random-voronoi":
-        return _random_voronoi(shape, seed)
     m = _GRID_RE.match(name)
     if m:
         return _grid_of_instances(shape, int(m.group(1)))
-    raise ValueError(f"unknown fixture {name!r}; known: {', '.join(FIXTURES)}")
+    if name not in _FIXTURES:
+        known = ", ".join([*_FIXTURES, "grid-of-<k>-instances"])
+        raise ValueError(f"unknown fixture {name!r}; known: {known}")
+    minimum, build = _FIXTURES[name]
+    h, w = shape
+    if h < minimum or w < minimum:
+        raise ValueError(f"fixture needs at least {minimum}x{minimum}, got {h}x{w}")
+    return build(h, w, seed)

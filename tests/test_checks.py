@@ -86,6 +86,20 @@ class TestJacobianCheck:
         with pytest.raises(ValueError, match="unknown op"):
             random_check_point("softmax", seed=0)
 
+    def test_jacobian_check_rejects_an_unknown_op(self):
+        point = random_check_point("getconv", seed=0)
+        with pytest.raises(ValueError, match="unknown op"):
+            jacobian_check(CheckPoint("softmax", point.x, point.tangent, point.args))
+
+    def test_a_non_finite_derivative_fails_the_check(self):
+        # dq_i + dq_j overflows to inf off the clamp; the forward differences stay finite
+        point = random_check_point("diffusivity", seed=0)
+        point = CheckPoint(point.op, point.x, np.full_like(point.x, 1e308), point.args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = jacobian_check(point)
+        assert rep.max_rel_err == np.inf
+        assert rep.passed is False
+
     def test_report_fields(self):
         rep = jacobian_check(random_check_point("getconv", seed=5), tol=1e-4)
         assert rep.op == "getconv"

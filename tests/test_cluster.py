@@ -276,6 +276,16 @@ class TestReverseRecover:
             recover(tg, perm[ins], 5), perm[recover(tg, ins, 5)]
         )
 
+    def test_recover_rejects_negative_rounds(self):
+        tg = TransmitGraph(GridShape(1, 3), np.array([1, 2, 2]), np.zeros(3))
+        with pytest.raises(ValueError, match="t1 must be >= 0"):
+            recover(tg, np.zeros((1, 3), int), -1)
+
+    def test_recover_rejects_a_map_of_another_shape(self):
+        tg = TransmitGraph(GridShape(1, 3), np.array([1, 2, 2]), np.zeros(3))
+        with pytest.raises(ValueError, match="instance map shape"):
+            recover(tg, np.zeros((3, 1), int), 1)
+
 
 class TestGcm:
     def test_zero_field_reduces_to_components(self):
@@ -341,4 +351,8 @@ class TestClusterForMasking:
     def test_rejects_non_divisible_shapes(self):
         with pytest.raises(ValueError, match="divisible"):
             cluster_for_masking(np.zeros((10, 12, 2)), patch=4)
+
+    def test_rejects_a_field_that_is_not_two_planes(self):
+        with pytest.raises(ValueError, match=r"field must be \(h, w, 2\)"):
+            cluster_for_masking(np.zeros((8, 8, 3)))
 

@@ -86,6 +86,15 @@ class TestQueryMessages:
         with pytest.raises(ValueError):
             query_messages(np.zeros((5, 3)), params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        # an inf feature used to come out as inf or NaN queries
+        params = random_layer_params(np.random.default_rng(0), 4, 8)
+        z = np.zeros((5, 4))
+        z[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            query_messages(z, params)
+
 
 class TestDiffusivity:
     def test_zero_queries_give_unit_edges(self):
@@ -125,6 +134,11 @@ class TestDiffusivity:
         adj = grid_adjacency(GridShape(4, 4), square(3))
         s = diffusivity(rng.normal(scale=20.0, size=(16, 8)), adj)
         assert (s[adj.valid] > 0).all()
+
+    def test_rejects_queries_of_another_shape(self):
+        adj = grid_adjacency(GridShape(2, 2), square(3))
+        with pytest.raises(ValueError, match=r"queries must be \(4, 8\), got \(4, 9\)"):
+            diffusivity(np.zeros((4, 9)), adj)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_queries(self, bad):
@@ -244,6 +258,12 @@ class TestGetconvForward:
         params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
         with pytest.raises(ValueError, match="cover all nodes"):
             getconv_forward(np.zeros((16, 3)), adj, params, clusters=np.ones(15, int))
+
+    def test_rejects_features_of_another_node_count(self):
+        adj = grid_adjacency(GridShape(4, 4), square(3))
+        params = random_layer_params(np.random.default_rng(0), 3, adj.n_slots)
+        with pytest.raises(ValueError, match=r"features must be .*, got \(15, 3\)"):
+            getconv_forward(np.zeros((15, 3)), adj, params)
 
     def test_rejects_single_node_grid(self):
         adj = grid_adjacency(GridShape(1, 1), square(3))
@@ -456,6 +476,18 @@ class TestDepthwise:
     def test_rejects_even_non_square_or_mismatched_kernels(self, shape):
         with pytest.raises(ValueError, match="k odd"):
             depthwise(np.zeros((4, 4, 3)), np.zeros(shape))
+
+    def test_rejects_a_flat_grid(self):
+        with pytest.raises(ValueError, match=r"grid features must be \(h, w, C\), got \(16, 3\)"):
+            depthwise(np.zeros((16, 3)), np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_grid_features(self, bad):
+        # an inf pixel used to come out as inf, or as NaN wherever a kernel tap is 0
+        img = np.zeros((4, 4, 3))
+        img[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="grid features must be finite"):
+            depthwise(img, np.ones((3, 3, 3)))
 
 
 class TestIsotropicForward:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import flowseg
 from flowseg.grid import (
     GridShape,
+    NeighborhoodSpec,
     disk,
     grid_adjacency,
     nid,
@@ -64,6 +65,8 @@ def test_shape_validation():
         disk(0)
     with pytest.raises(ValueError):
         square(-3)
+    with pytest.raises(ValueError, match="unknown stencil kind"):
+        NeighborhoodSpec("ring", 3)
 
 
 def test_nid_bijection_exhaustive():

@@ -503,6 +503,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             obj_f1(np.zeros((3, 3), dtype=int), np.zeros((4, 3), dtype=int))
 
+    def test_a_map_that_is_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            evaluate(np.zeros(9, dtype=int), np.zeros(9, dtype=int))
+
     def test_one_extraction_per_call(self, monkeypatch):
         calls = []
         pair = metrics._pair

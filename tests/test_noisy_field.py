@@ -24,6 +24,10 @@ from oracles import eroded_with_specks
 # obj_dice, obj_hd); at 64x64 recover settles, at 128x128 and sigma = 1 it does
 # not, so one round fewer changes that map
 GOLDEN = {
+    (64, 0.25): (
+        "d8897505d5fbb46816c8fa9b1943fe4766416d3535309412f29e406bab40216d",
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ),
     (64, 0.5): (
         "d8897505d5fbb46816c8fa9b1943fe4766416d3535309412f29e406bab40216d",
         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
@@ -67,6 +71,29 @@ def test_cli_cluster_on_the_written_field_gives_the_library_map(side, sigma, tmp
     write_field(field_path, field)
     assert cli(["cluster", str(energy_path), str(field_path), str(out_path)]) == 0
     np.testing.assert_array_equal(read_map(out_path), gcm(field, energy))
+
+
+# (side, sigma) -> the values of GOLDEN, on noisy_case's field rounded to the
+# nearest 0.5 px; build_tg then meets exact halves, which it rounds away from
+# zero, and rounding them half to even gives another map
+HALVES = {
+    (64, 0.5): (
+        "d8897505d5fbb46816c8fa9b1943fe4766416d3535309412f29e406bab40216d",
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("side, sigma", sorted(HALVES))
+def test_a_field_on_exact_halves_gives_the_recorded_values(side, sigma):
+    labels, field, energy = noisy_case(side, sigma)
+    field = np.round(2.0 * field) / 2.0
+    assert (field % 1.0 == 0.5).mean() > 0.4
+    ids = gcm(field, energy)
+    digest, scores = HALVES[side, sigma]
+    assert hashlib.sha256(ids.tobytes()).hexdigest() == digest
+    record = evaluate(ids, labels)
+    assert tuple(float(record[k]).hex() for k in ("obj_f1", "obj_dice", "obj_hd")) == scores
 
 
 # side -> (sha256 of gcm's int64 map bytes, float.hex of obj_f1, obj_dice,

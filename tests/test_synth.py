@@ -97,3 +97,13 @@ def test_unknown_fixture_rejected():
 def test_too_small_shape_rejected():
     with pytest.raises(ValueError):
         synth("two-blobs-adherent", (4, 4))
+
+
+def test_grid_of_no_instances_rejected():
+    with pytest.raises(ValueError, match="instance count must be >= 1"):
+        synth("grid-of-0-instances", (32, 32))
+
+
+def test_grid_too_small_for_its_tiles_rejected():
+    with pytest.raises(ValueError, match="too small for 9 tiled instances"):
+        synth("grid-of-9-instances", (8, 8))
