@@ -9,12 +9,11 @@ isotropic baseline in this module cannot tell them apart. That baseline is a
 forward only, the contrast of the isomorphism probe.
 
 Every other forward here has a ``*_jvp`` returning the primal output and its
-directional derivative, used by the finite-difference checks. Both are built
-from the same private primitives (query perceptron, edge weights,
-standardization, residual update), each of which takes an optional tangent,
-so the primal half of every JVP is the forward's own arithmetic. Each entry
-point but :func:`pointwise` checks the shape of its features, queries or
-tangent, and rejects a NaN or inf in them, before any work starts.
+directional derivative, used by the finite-difference checks. Each layer entry
+point checks its input, then calls the private ``_layer`` once for the edge
+weights, aggregation, normalization and residual, which in a JVP carries the
+tangent beside each step: a JVP's primal is the forward's own arithmetic. Each
+entry point but :func:`pointwise` first rejects a wrong shape or a NaN or inf.
 
 The costly steps run on two threads, and every output is the one-thread
 output bit for bit. The edge weights, the depthwise convolution and the
@@ -26,7 +25,7 @@ the matrix sizes; in a JVP, the tangent's products run beside the primal's.
 Normalization and the residual stay on the calling thread: they are bound by
 memory traffic, and a mean split by rows would sum in another order. Under
 clusters, each cluster's mean is summed over its own rows in row order, as if
-it were alone, though the clusters of one size are normalized as one block.
+it were alone, though clusters of one size are normalized in shared chunks.
 """
 
 from __future__ import annotations
@@ -229,12 +228,12 @@ def _standardize(x, dx, cls):
     constant channel standardizes to exactly 0. Statistics are taken within
     each cluster of ``cls``, over all rows when it is None.
 
-    The clusters of one size are gathered as one (clusters, size, C) block,
-    each cluster's rows ascending, and written back; without clusters the one
-    block is a view of all rows. Every step is element-wise or a mean over a
-    cluster's rows, so each cluster's mean is summed in row order, as if it
-    were standardized alone. The steps are bound by memory traffic, not
-    arithmetic, so they run on the calling thread."""
+    Whole clusters of one size are gathered, in (clusters, size, C) chunks of
+    about ``grid._BLOCK_ENTRIES`` entries, and written back; without clusters
+    the one block is a view of all rows. Each cluster's rows stay ascending and
+    every step is element-wise or a mean over a cluster's rows, so each
+    cluster's mean is summed in row order, as if it were standardized alone.
+    The steps are bound by memory traffic, so they run on the calling thread."""
     if cls is None:
         blocks = [None]
     else:
@@ -243,7 +242,8 @@ def _standardize(x, dx, cls):
         # by (cluster size, cluster); a stable sort keeps each cluster's rows ascending
         order = np.lexsort((inverse, size))
         cuts = np.flatnonzero(np.diff(size[order])) + 1
-        blocks = [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts)]
+        sized = [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts)]
+        blocks = [b[part] for b in sized for part in _row_blocks(len(b), b.shape[1] * x.shape[1])]
     for rows in blocks:
         c = x[None] if rows is None else x[rows]
         c -= c.mean(axis=1, keepdims=True)
@@ -269,35 +269,36 @@ def _standardize(x, dx, cls):
             x[rows] = c
 
 
-def _update(res, feats, weights, adj, params, clusters=None, dres=None, dfeats=None):
-    """``res + BN(sum_j s_ij feats_j) * gamma + beta`` for ``weights = [s, ds]``
-    confined to ``clusters``, and its derivative along ``dres``, ``dfeats``,
-    ``ds`` unless ``ds`` is None. The list is emptied, so s and ds are freed
-    early."""
-    s, ds = weights
-    weights.clear()
+def _layer(z, dz, adj, params, clusters=None, mix=None):
+    """``z + BN(sum_j s_ij x_j) * gamma + beta`` for ``x = mix(z)``, or z without
+    ``mix``, and its derivative along ``dz`` when given. The weights s of x, cut
+    between ``clusters``, come from the public forward primitives, from their
+    JVPs under a tangent (x's is ``mix(dz)``), or from :func:`_iso_weights`."""
+    if adj.shape.n_nodes < 2:
+        raise ValueError("normalization needs at least 2 nodes")
+    x, dx = (z, dz) if mix is None else (mix(z), None if dz is None else mix(dz))
+    if isinstance(params, IsoParams):
+        s, ds = _iso_weights(x, adj, params), None
+    elif dz is None:
+        s, ds = diffusivity(query_messages(x, params), adj), None
+    else:
+        s, ds = diffusivity_jvp(*_query(x, dx, params), adj)
     cls = _confine(s, ds, clusters, adj)
-    y = stencil_sum(s, feats, adj)
+    y = stencil_sum(s, x, adj)
     dy = None
     if ds is not None:
-        dy = stencil_sum(ds, feats, adj)
-        dy += stencil_sum(s, dfeats, adj)
+        dy = stencil_sum(ds, x, adj)
+        dy += stencil_sum(s, dx, adj)
     del s, ds
     _standardize(y, dy, cls)
-    # in place: y * gamma + res is res + y * gamma, bit for bit
+    # in place: y * gamma + z is z + y * gamma, bit for bit
     y *= params.gamma
-    y += res
+    y += z
     y += params.beta
     if dy is not None:
         dy *= params.gamma
-        dy += dres
+        dy += dz
     return y, dy
-
-
-def _check_forward_input(feats, adj):
-    if adj.shape.n_nodes < 2:
-        raise ValueError("normalization needs at least 2 nodes")
-    return _finite(feats, (adj.shape.n_nodes, "C"), "features")
 
 
 def getconv_forward(
@@ -314,16 +315,13 @@ def getconv_forward(
         cluster's features (a one-node cluster falls under the constant-channel
         rule and standardizes to 0).
     """
-    z = _check_forward_input(feats, adj)
-    weights = [diffusivity(query_messages(z, params), adj), None]
-    return _update(z, z, weights, adj, params, clusters)[0]
+    z = _finite(feats, (adj.shape.n_nodes, "C"), "features")
+    return _layer(z, None, adj, params, clusters)[0]
 
 
 def getconv_forward_jvp(feats, tangent, adj, params, clusters=None):
-    z = _check_forward_input(feats, adj)
-    dz = _finite(tangent, z.shape, "tangent")
-    weights = list(diffusivity_jvp(*_query(z, dz, params), adj))
-    return _update(z, z, weights, adj, params, clusters, dres=dz, dfeats=dz)
+    z = _finite(feats, (adj.shape.n_nodes, "C"), "features")
+    return _layer(z, _finite(tangent, z.shape, "tangent"), adj, params, clusters)
 
 
 def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -359,13 +357,17 @@ def pointwise(grid_feats: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.asarray(grid_feats, dtype=np.float64) @ kernel.T
 
 
-def _check_block_input(grid_feats, spec, params):
+def _block(grid_feats, tangent, spec, params, jvp):
+    """:func:`getblock_forward`, and its JVP along ``tangent`` if ``jvp``."""
     grid = _finite(grid_feats, ("h", "w", "C"), "grid features")
     if params.dw is None or params.pw is None:
         raise ValueError("block forward needs dw and pw kernels")
     h, w, cdim = grid.shape
-    adj = grid_adjacency(GridShape(h, w), spec)
-    return grid, _check_forward_input(grid.reshape(h * w, cdim), adj), adj
+    flat = lambda x: x.reshape(h * w, cdim)
+    dz = flat(_finite(tangent, grid.shape, "tangent")) if jvp else None
+    mix = lambda x: flat(pointwise(depthwise(x.reshape(grid.shape), params.dw), params.pw))
+    out = _layer(flat(grid), dz, grid_adjacency(GridShape(h, w), spec), params, mix=mix)
+    return tuple(y if y is None else y.reshape(grid.shape) for y in out)
 
 
 def getblock_forward(
@@ -377,23 +379,11 @@ def getblock_forward(
     feed both the query perceptron and the aggregation; the residual is the
     raw block input, so zero kernels reduce the block to the identity.
     """
-    grid, z, adj = _check_block_input(grid_feats, spec, params)
-    mixed = pointwise(depthwise(grid, params.dw), params.pw).reshape(z.shape)
-    out = _update(z, mixed, [diffusivity(query_messages(mixed, params), adj), None], adj, params)
-    return out[0].reshape(grid.shape)
+    return _block(grid_feats, None, spec, params, jvp=False)[0]
 
 
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
-    grid, z, adj = _check_block_input(grid_feats, spec, params)
-    dgrid = _finite(tangent, grid.shape, "tangent")
-    mixed, dmixed = (
-        pointwise(depthwise(x, params.dw), params.pw).reshape(z.shape) for x in (grid, dgrid)
-    )
-    out, dout = _update(
-        z, mixed, list(diffusivity_jvp(*_query(mixed, dmixed, params), adj)), adj, params,
-        dres=dgrid.reshape(z.shape), dfeats=dmixed,
-    )
-    return out.reshape(grid.shape), dout.reshape(grid.shape)
+    return _block(grid_feats, tangent, spec, params, jvp=True)
 
 
 def _iso_weights(z, adj, params):
@@ -417,5 +407,5 @@ def isotropic_attention_forward(
     and residual are shared with :func:`getconv_forward`. It is the contrast
     of the isomorphism probe only, so it has no JVP.
     """
-    z = _check_forward_input(feats, adj)
-    return _update(z, z, [_iso_weights(z, adj, params), None], adj, params)[0]
+    z = _finite(feats, (adj.shape.n_nodes, "C"), "features")
+    return _layer(z, None, adj, params)[0]

@@ -220,8 +220,8 @@ class TestGetconvForward:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("channels", [0, 1, 6])
-    def test_each_cluster_standardizes_as_if_alone(self, channels):
-        # the clusters of one size share a block, yet each cluster's mean is
+    def test_each_cluster_standardizes_as_if_alone(self, monkeypatch, channels):
+        # the clusters of one size share a chunk, yet each cluster's mean is
         # summed over its own rows in row order; at 8 and 9 rows a pairwise
         # or segment sum rounds differently
         rng = np.random.default_rng(12)
@@ -231,16 +231,22 @@ class TestGetconvForward:
         x, dx = scale * rng.normal(size=scale.shape), scale * rng.normal(size=scale.shape)
         if channels > 1:
             x[:, 1] = 0.1  # a constant channel
-        got, dgot, fwd = x.copy(), dx.copy(), x.copy()
-        flowseg.getconv._standardize(got, dgot, cls)
-        flowseg.getconv._standardize(fwd, None, cls)
+        want, dwant = x.copy(), dx.copy()
         for k in np.unique(cls):
             rows = np.flatnonzero(cls == k)
-            want, dwant = x[rows], dx[rows]
-            flowseg.getconv._standardize(want, dwant, None)
-            np.testing.assert_array_equal(got[rows], want)
-            np.testing.assert_array_equal(dgot[rows], dwant)
-            np.testing.assert_array_equal(fwd[rows], want)
+            alone, dalone = x[rows], dx[rows]
+            flowseg.getconv._standardize(alone, dalone, None)
+            want[rows], dwant[rows] = alone, dalone
+        # at 16 entries a chunk holds one or two clusters of one size, and a
+        # cluster of more entries is a chunk of its own
+        for budget in (flowseg.grid._BLOCK_ENTRIES, 16):
+            monkeypatch.setattr(flowseg.grid, "_BLOCK_ENTRIES", budget)
+            got, dgot, fwd = x.copy(), dx.copy(), x.copy()
+            flowseg.getconv._standardize(got, dgot, cls)
+            flowseg.getconv._standardize(fwd, None, cls)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(dgot, dwant)
+            np.testing.assert_array_equal(fwd, want)
 
     def test_rejects_non_integer_clusters(self):
         # a NaN id used to fall in no group, leaving its output rows unwritten
@@ -398,15 +404,21 @@ def _refuse_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("jvp", sorted(_bad_tangent_jvps()))
-@pytest.mark.parametrize("shape", ["(1, C)", "(C,)", "transposed"])
+@pytest.mark.parametrize("shape", ["(1, C)", "(C,)", "transposed", "None"])
 def test_jvp_rejects_a_wrongly_shaped_tangent(monkeypatch, jvp, shape):
-    # a short tangent read by row blocks could pass as empty slices; each JVP
-    # must refuse it with its own message before any work starts
+    # a short tangent read by row blocks could pass as empty slices, and with
+    # no tangent the layer's shared core runs a plain forward; each JVP must
+    # refuse either with its own message before any work starts
     call, want = _tangent_jvps()[jvp]
-    bad = {"(1, C)": (1, want[-1]), "(C,)": (want[-1],), "transposed": want[::-1]}[shape]
+    bad = {
+        "(1, C)": np.ones((1, want[-1])),
+        "(C,)": np.ones(want[-1]),
+        "transposed": np.ones(want[::-1]),
+        "None": None,
+    }[shape]
     _refuse_threads(monkeypatch)
     with pytest.raises(ValueError, match=r"tangent must be \(" + ", ".join(map(str, want))):
-        call(np.ones(bad))
+        call(bad)
 
 
 class TestGetblockForward:
@@ -458,6 +470,29 @@ class TestGetblockForward:
                 getblock_forward(z, square(3), params)
             with pytest.raises(ValueError, match=message):
                 getblock_forward_jvp(z, z, square(3), params)
+
+
+def test_block_scans_its_grid_and_tangent_twice(monkeypatch):
+    # a NaN or inf scan of a 160x160x32 grid takes about 0.6 ms: the block
+    # checks its input and depthwise checks it again, and nothing else should
+    rng = np.random.default_rng(14)
+    params = random_layer_params(rng, 3, 8, kernel=3)
+    grid, dgrid = rng.normal(size=(6, 7, 3)), rng.normal(size=(6, 7, 3))
+    scanned = []
+    check = flowseg.grid.require_finite
+
+    def spy(x, what):
+        scanned.append(x)
+        return check(x, what)
+
+    for module in (flowseg.grid, flowseg.getconv):
+        monkeypatch.setattr(module, "require_finite", spy)
+    scans_of = lambda a: sum(np.shares_memory(x, a) for x in scanned)
+    getblock_forward(grid, square(3), params)
+    assert scans_of(grid) == 2
+    scanned.clear()
+    getblock_forward_jvp(grid, dgrid, square(3), params)
+    assert scans_of(grid) == 2 and scans_of(dgrid) == 2
 
 
 class TestDepthwise:
@@ -629,6 +664,39 @@ def test_layer_peak_memory_in_edge_table_units(jvp, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * z.shape[0] * adj.n_slots * 8
+
+
+def test_masked_layer_peak_stays_within_the_plain_one():
+    # 5x5 tiles are almost all of one size; gathered as one block, they used
+    # to push the masked peak past the plain one (12.77 against 9.07 edge-table
+    # units for the forward, 21.09 against 18.07 for the JVP)
+    rng = np.random.default_rng(27)
+    side = 160
+    adj = grid_adjacency(GridShape(side, side), square(3))
+    z, dz = rng.normal(size=(side * side, 32)), rng.normal(size=(side * side, 32))
+    params = random_layer_params(rng, 32, adj.n_slots)
+    row, col = np.divmod(np.arange(side * side), side)
+    tiles = row // 5 * (side // 5) + col // 5
+
+    def peak(call):
+        call()  # scipy's import stays out of the peak
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the Python objects of two calls differ by a few hundred bytes
+    slack = 0.01 * side * side * adj.n_slots * 8
+    for masked, plain in [
+        (lambda: getconv_forward(z, adj, params, tiles), lambda: getconv_forward(z, adj, params)),
+        (
+            lambda: getconv_forward_jvp(z, dz, adj, params, tiles),
+            lambda: getconv_forward_jvp(z, dz, adj, params),
+        ),
+    ]:
+        assert peak(masked) <= peak(plain) + slack
 
 
 def _serial(fn, blocks):
