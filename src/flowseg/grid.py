@@ -196,28 +196,27 @@ def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> n
     """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
     weights, 0 on every off-grid slot, and (N, C) finite features.
 
-    The rows run in two halves, one per thread. Each half is a CSR view of
-    n - n // 2 rows of both tables, with no copy (scipy would copy a view of
-    less than half of its base); when n is odd the halves share row n // 2,
-    and only the second writes it. An off-grid slot is an entry at column 0
-    that adds +0.0 to its row. Each row sums from zero in slot order, so the
-    result is the in-grid sum bit for bit, and each half fills only its own
-    rows of the output, so no sum crosses the threads."""
-    from scipy import sparse
+    The rows run in two halves, [0, n // 2) and [n // 2, n), one per thread.
+    Each hands its rows of both tables to the CSR kernel that ``csr_array @``
+    calls, which adds their products straight into its rows of the zeroed
+    output. An off-grid slot is an entry at column 0 that adds +0.0 to its
+    row. Each row sums from zero in slot order, so the result is the in-grid
+    sum bit for bit, and no sum crosses the threads."""
+    from scipy.sparse import _sparsetools
 
     n, n_slots = adj.nbr_safe.shape
-    # scipy ravels the features for every product: one copy here at most
-    feats = np.ascontiguousarray(feats)
-    out = np.empty((n,) + feats.shape[1:], np.result_type(weights, feats))
-    m = n - n // 2
+    dtype = np.result_type(weights, feats)
+    # the kernel reads raveled tables of one dtype: no copy for the layer's f64
+    weights, feats = (np.ascontiguousarray(a, dtype) for a in (weights, feats))
+    out = np.zeros(feats.shape, dtype)
+    indptr = n_slots * np.arange(n - n // 2 + 1, dtype=adj.nbr_safe.dtype)
 
-    def half(bounds):
-        start, stop = bounds
-        rows = slice(start, start + m)
-        indptr = n_slots * np.arange(m + 1, dtype=adj.nbr_safe.dtype)
-        data, cols = weights[rows].ravel(), adj.nbr_safe[rows].ravel()
-        prod = sparse.csr_array((data, cols, indptr), shape=(m, n)) @ feats
-        out[start:stop] = prod[: stop - start]
+    def half(rows):
+        m = rows.stop - rows.start
+        _sparsetools.csr_matvecs(
+            m, n, feats.shape[1], indptr[: m + 1], adj.nbr_safe[rows].ravel(),
+            weights[rows].ravel(), feats.ravel(), out[rows].ravel(),
+        )
 
-    _on_two_threads(half, [(0, n // 2), (n // 2, n)])
+    _on_two_threads(half, [slice(0, n // 2), slice(n // 2, n)])
     return out
