@@ -3,9 +3,11 @@
 The top level exports the pipeline, the metrics, the layer entry points, the
 checks and file I/O; everything else is imported from its module.
 
-scipy is imported only inside the two functions that call it
-(``grid.stencil_sum`` and ``diffusion._same_label_operator``), so importing the
-package loads none of it.
+Of scipy, the package uses only the compiled CSR kernels of
+``scipy.sparse._sparsetools``. ``grid._csr_kernels`` loads that one extension
+file on the first kernel call (``grid.stencil_sum`` or
+``diffusion.gt_displacement``), without running scipy's or scipy.sparse's
+``__init__``, so importing the package loads nothing from scipy.
 """
 
 from .checks import isomorphism_probe, jacobian_check, random_check_point

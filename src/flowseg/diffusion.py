@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridShape, _csr_index_dtype, _on_two_threads, disk, stencil_offsets
+from .grid import GridShape, _csr_index_dtype, _csr_kernels, _on_two_threads, disk, stencil_offsets
 
 
 def _same_label_operator(lab: np.ndarray, radius: int):
-    """0/1 CSR matrix linking each labeled pixel to its same-label disk
-    neighbors in slot order; background rows are empty."""
-    from scipy import sparse
-
+    """``(indptr, indices, data)`` of the 0/1 CSR matrix linking each labeled
+    pixel to its same-label disk neighbors in slot order; background rows are
+    empty."""
     h, w = lab.shape
     n = h * w
     offs = np.array(stencil_offsets(disk(radius))).reshape(-1, 2)
@@ -28,7 +27,7 @@ def _same_label_operator(lab: np.ndarray, radius: int):
     # the padded map and the full column table are freed before the data is made
     del windows
     indices = (np.arange(n, dtype=itype)[:, None] + (offs @ [w, 1]).astype(itype))[same]
-    return sparse.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    return indptr, indices, np.ones(indices.size)
 
 
 def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.ndarray:
@@ -43,10 +42,12 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
     the zero vector.
 
     Each round multiplies each coordinate plane by one fixed 0/1 sparse
-    matrix, then divides by the neighbor count. Accumulation is in float64
-    with a fixed CSR row order, equal to slot order. The two planes run on
-    two threads and no sum crosses them, so results are deterministic and
-    independent of scheduling.
+    matrix, then divides by the neighbor count. The product is scipy's CSR
+    kernel, the one ``csr_array @ vector`` calls, loaded without ``import
+    scipy.sparse``; it sums each row from zero into a buffer allocated once
+    per plane. Accumulation is in float64 with a fixed CSR row order, equal
+    to slot order. The two planes run on two threads and no sum crosses them,
+    so results are deterministic and independent of scheduling.
     """
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -63,20 +64,26 @@ def gt_displacement(labels: np.ndarray, radius: int = 5, iters: int = 96) -> np.
     shape = GridShape(*lab.shape)
     # offsets longer than the grid's diagonal never land in it
     radius = max(1, min(radius, int(np.ceil(np.hypot(shape.h - 1, shape.w - 1)))))
-    op = _same_label_operator(lab, radius)
-    count = op.sum(axis=1)
+    n = shape.n_nodes
+    indptr, indices, data = _same_label_operator(lab, radius)
+    count = np.diff(indptr).astype(np.float64)
     movable = count > 0
     denom = np.maximum(count, 1.0)
+    kernels = _csr_kernels()
 
     # the row and column coordinates never mix, so each plane iterates alone:
-    # plane 0 on a second thread, plane 1 here (scipy's product releases the GIL)
-    out = np.empty((shape.n_nodes, 2))
-    starts = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
+    # plane 0 on a second thread, plane 1 here (the kernel releases the GIL)
+    out = np.empty((n, 2))
+    starts = np.divmod(np.arange(n, dtype=np.int64), shape.w)
 
     def iterate(plane):
-        start = coords = starts[plane].astype(np.float64)
+        start = starts[plane].astype(np.float64)
+        coords, mean = start.copy(), np.empty(n)
         for _ in range(iters):
-            coords = np.where(movable, (op @ coords) / denom, coords)
+            mean.fill(0.0)  # the kernel adds each row's sum to what is there
+            kernels.csr_matvec(n, n, indptr, indices, data, coords, mean)
+            np.divide(mean, denom, out=mean)
+            np.copyto(coords, mean, where=movable)
         out[:, plane] = coords - start
 
     _on_two_threads(iterate, (0, 1))

@@ -17,6 +17,9 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -192,18 +195,40 @@ def _on_two_threads(fn, blocks) -> None:
         raise failed[0]
 
 
+@lru_cache(maxsize=1)
+def _csr_kernels():
+    """scipy's compiled CSR kernels, ``scipy.sparse._sparsetools``, loaded from
+    their extension file alone: ``import scipy.sparse`` would run the whole
+    package (about 0.15 s) for a file that loads in about 1 ms. ``find_spec``
+    finds scipy without running its ``__init__``. The module is registered
+    under its own name, so a later ``import scipy.sparse`` uses this one."""
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed; flowseg needs its CSR kernels")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no _sparsetools extension file for scipy's CSR kernels in {folder}")
+
+
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:
     """``out[i] = sum_c weights[i, c] * feats[nbr_safe[i, c]]`` for (N, n_slots)
     weights, 0 on every off-grid slot, and (N, C) finite features.
 
     The rows run in two halves, [0, n // 2) and [n // 2, n), one per thread.
     Each hands its rows of both tables to the CSR kernel that ``csr_array @``
-    calls, which adds their products straight into its rows of the zeroed
-    output. An off-grid slot is an entry at column 0 that adds +0.0 to its
-    row. Each row sums from zero in slot order, so the result is the in-grid
-    sum bit for bit, and no sum crosses the threads."""
-    from scipy.sparse import _sparsetools
-
+    calls, loaded by :func:`_csr_kernels` without ``import scipy.sparse``,
+    which adds their products straight into its rows of the zeroed output. An
+    off-grid slot is an entry at column 0 that adds +0.0 to its row. Each row
+    sums from zero in slot order, so the result is the in-grid sum bit for
+    bit, and no sum crosses the threads."""
+    kernels = _csr_kernels()
     n, n_slots = adj.nbr_safe.shape
     dtype = np.result_type(weights, feats)
     # the kernel reads raveled tables of one dtype: no copy for the layer's f64
@@ -213,7 +238,7 @@ def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> n
 
     def half(rows):
         m = rows.stop - rows.start
-        _sparsetools.csr_matvecs(
+        kernels.csr_matvecs(
             m, n, feats.shape[1], indptr[: m + 1], adj.nbr_safe[rows].ravel(),
             weights[rows].ravel(), feats.ravel(), out[rows].ravel(),
         )

@@ -48,16 +48,17 @@ import numpy as np
 
 @dataclass
 class _ObjectSet:
-    ids: np.ndarray        # original ids, raster order of first pixel
-    index: np.ndarray      # (h, w) dense object index, -1 on background
-    areas: np.ndarray      # pixel count per object
+    ids: np.ndarray            # original ids, raster order of first pixel
+    index: np.ndarray | None   # (h, w) dense object index, -1 on background
+    areas: np.ndarray          # pixel count per object
 
     @property
     def count(self) -> int:
         return len(self.ids)
 
 
-def _extract(m: np.ndarray) -> _ObjectSet:
+def _extract(m: np.ndarray, with_index: bool = True) -> _ObjectSet:
+    """The objects of map ``m``; without ``with_index``, ``index`` is None."""
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"instance map must be 2-D, got shape {a.shape}")
@@ -78,7 +79,7 @@ def _extract(m: np.ndarray) -> _ObjectSet:
     order = np.argsort(first[fg], kind="stable")
     rank = np.full(len(uniq), -1, dtype=np.int64)
     rank[np.flatnonzero(fg)[order]] = np.arange(order.size)
-    index = np.repeat(rank[inverse], lengths).reshape(a.shape)
+    index = np.repeat(rank[inverse], lengths).reshape(a.shape) if with_index else None
     return _ObjectSet(ids=uniq[fg][order], index=index, areas=areas[fg][order])
 
 
@@ -97,8 +98,14 @@ def _pair(pred: np.ndarray, gt: np.ndarray) -> tuple:
     g, p = _extract(gt), _extract(pred)
     if g.index.shape != p.index.shape:
         raise ValueError("prediction and ground truth shapes differ")
-    both = (g.index >= 0) & (p.index >= 0)
-    pairs = _extract(np.where(both, g.index * p.count + p.index + 1, 0))
+    # each pixel's joint id, 1 + g * p.count + p, or 0 where either map has
+    # background, built in place: one (h, w) array beside the two indices,
+    # whose objects are read for their ids and areas only
+    joint = g.index * p.count
+    joint += p.index
+    joint += 1
+    joint *= (g.index >= 0) & (p.index >= 0)
+    pairs = _extract(joint, with_index=False)
     i, j = np.divmod(pairs.ids - 1, p.count)
     return g, p, _best(i, j, pairs.areas, g.count), _best(j, i, pairs.areas, p.count)
 

@@ -3,10 +3,18 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import flowseg.diffusion
 from flowseg.diffusion import _same_label_operator, gt_displacement
-from flowseg.grid import GridShape, _csr_index_dtype, disk, grid_adjacency, stencil_offsets
+from flowseg.grid import (
+    GridShape,
+    _csr_index_dtype,
+    _csr_kernels,
+    disk,
+    grid_adjacency,
+    stencil_offsets,
+)
 from flowseg.synth import synth
 from oracles import gt_displacement_naive, random_label_map
 
@@ -15,9 +23,11 @@ ROUNDTRIP_FIXTURES = ("random-voronoi", "two-blobs-adherent", "concave-horseshoe
 
 def serial_gt_displacement(lab, radius, iters):
     """gt_displacement's iteration with both planes on the calling thread, one
-    after the other: the single-threaded reference for bit equality."""
+    after the other, through scipy's public ``csr_array @``: the
+    single-threaded reference for bit equality."""
     shape = GridShape(*lab.shape)
-    op = _same_label_operator(lab, radius)
+    indptr, indices, data = _same_label_operator(lab, radius)
+    op = sparse.csr_array((data, indices, indptr), shape=(shape.n_nodes, shape.n_nodes))
     count = op.sum(axis=1)
     movable = count > 0
     denom = np.maximum(count, 1.0)
@@ -34,20 +44,18 @@ def serial_gt_displacement(lab, radius, iters):
     return np.stack(planes, axis=-1).reshape(shape.h, shape.w, 2)
 
 
-class FailingOperator:
-    """Wraps the operator; its product raises ``exc`` on one thread only."""
+class FailingKernels:
+    """scipy's CSR kernels, except that ``csr_matvec`` raises ``exc`` on one
+    thread only."""
 
-    def __init__(self, op, exc, on_caller):
-        self.op, self.exc, self.on_caller = op, exc, on_caller
+    def __init__(self, exc, on_caller):
+        self.exc, self.on_caller = exc, on_caller
         self.caller = threading.get_ident()
 
-    def sum(self, axis):
-        return self.op.sum(axis=axis)
-
-    def __matmul__(self, coords):
+    def csr_matvec(self, *args):
         if (threading.get_ident() == self.caller) == self.on_caller:
             raise self.exc
-        return self.op @ coords
+        return _csr_kernels().csr_matvec(*args)
 
 
 class TestGtDisplacement:
@@ -89,7 +97,7 @@ class TestGtDisplacement:
             np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_bit_identical_to_naive_oracle(self):
-        # the sparse product sums each row in slot order from zero, exactly as
+        # the CSR kernel sums each row in slot order from zero, exactly as
         # the oracle does; radius 20 reaches past every side of the grid
         rng = np.random.default_rng(13)
         for (h, w), radius, iters in [((14, 16), 2, 8), ((12, 15), 5, 20), ((9, 11), 20, 3)]:
@@ -138,11 +146,8 @@ class TestGtDisplacement:
         # an exception in either plane must reach the caller, not come out as
         # a field with one plane never written
         boom = RuntimeError("plane failed")
-        build = flowseg.diffusion._same_label_operator
         monkeypatch.setattr(
-            flowseg.diffusion,
-            "_same_label_operator",
-            lambda lab, radius: FailingOperator(build(lab, radius), boom, on_caller),
+            flowseg.diffusion, "_csr_kernels", lambda: FailingKernels(boom, on_caller)
         )
         labels = random_label_map(np.random.default_rng(4), 12, 12)
         before = threading.active_count()

@@ -684,7 +684,7 @@ def test_masked_layer_peak_stays_within_the_plain_one(monkeypatch):
     tiles = row // 5 * (side // 5) + col // 5
 
     def peak(call):
-        call()  # scipy's import stays out of the peak
+        call()  # the kernels' first load stays out of the peak
         tracemalloc.start()
         try:
             call()

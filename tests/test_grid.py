@@ -1,5 +1,8 @@
 import dataclasses
-import importlib
+import importlib.machinery
+import importlib.util
+import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import flowseg
 from flowseg.grid import (
     GridShape,
     NeighborhoodSpec,
+    _csr_kernels,
     disk,
     grid_adjacency,
     nid,
@@ -213,7 +217,7 @@ def test_stencil_sum_peak_at_an_odd_node_count_is_bounded_by_the_even_one():
         rng = np.random.default_rng(0)
         weights = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
         feats = rng.normal(size=(shape.n_nodes, 32))
-        stencil_sum(weights, feats, adj)  # the first call imports scipy
+        stencil_sum(weights, feats, adj)  # the first call loads scipy's kernels
         tracemalloc.start()
         try:
             stencil_sum(weights, feats, adj)
@@ -225,6 +229,13 @@ def test_stencil_sum_peak_at_an_odd_node_count_is_bounded_by_the_even_one():
     even = peak(GridShape(64, 64))
     assert peak(GridShape(63, 65)) <= 1.1 * even
     assert even <= 1.1 * 64 * 64 * 32 * 8
+
+
+def test_missing_kernel_file_names_the_folder_searched(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+    with pytest.raises(ImportError, match=re.escape(folder)):
+        _csr_kernels.__wrapped__()  # past the cache, which holds the loaded kernels
 
 
 def test_neighbour_table_is_in_the_csr_index_dtype():

@@ -544,6 +544,24 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    def test_pairing_holds_at_most_four_int64_maps(self):
+        # the two object indices and the joint id map, plus bool masks: only
+        # the ids and areas of the joint map's objects are read, so an object
+        # index of that map would be a fourth (h, w) int64 array
+        side = 256
+        r, c = np.mgrid[0:side, 0:side]
+        gt = r // 32 * (side // 32) + c // 32 + 1
+        pred = (r + 5) // 32 * (side // 32 + 1) + (c + 3) // 32 + 1
+        pred[r % 32 == 9] = 0
+        metrics._pair(pred, gt)
+        tracemalloc.start()
+        try:
+            metrics._pair(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * side * side
+
     def test_scores_equal_separate_calls(self):
         maps = weak_pruning_maps()
         cases = [random_instance_pair(np.random.default_rng(s), 24, 30) for s in range(20)]

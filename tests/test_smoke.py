@@ -24,8 +24,8 @@ def run_python(*args):
 
 
 # each of these would add a large share to the import time of every CLI call;
-# the two functions that need scipy.sparse import it when called, and nothing
-# in the package needs scipy.ndimage
+# the package loads scipy's CSR kernels from their own extension file when it
+# first calls them, never through scipy.sparse, and nothing in it needs the rest
 @pytest.mark.parametrize(
     "module", ["scipy.signal", "scipy.spatial", "scipy.sparse", "scipy.ndimage"]
 )
@@ -66,6 +66,91 @@ def test_synth_cluster_and_eval_load_no_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def scipy_modules_after(code):
+    """The scipy modules loaded by a fresh process that runs ``code``."""
+    proc = run_python(
+        "-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# loading the kernels' extension file registers it under its own name, and
+# under that name only: neither scipy's nor scipy.sparse's __init__ runs
+def test_gen_df_loads_only_scipy_csr_kernels(tmp_path):
+    labels, field = str(tmp_path / "l.pgm"), str(tmp_path / "f.bin")
+    code = (
+        "from flowseg.cli import cli\n"
+        f"assert cli(['synth', 'two-blobs-adherent', {labels!r}]) == 0\n"
+        f"assert cli(['gen-df', {labels!r}, {field!r}]) == 0"
+    )
+    assert scipy_modules_after(code) == "['scipy.sparse._sparsetools']"
+
+
+def test_layer_forward_loads_only_scipy_csr_kernels():
+    code = (
+        "import numpy as np\n"
+        "from flowseg import GridShape, disk, getconv_forward, grid_adjacency, random_layer_params\n"
+        "rng = np.random.default_rng(0)\n"
+        "adj = grid_adjacency(GridShape(12, 13), disk(2))\n"
+        "params = random_layer_params(rng, 4, adj.n_slots)\n"
+        "assert np.isfinite(getconv_forward(rng.normal(size=(156, 4)), adj, params)).all()"
+    )
+    assert scipy_modules_after(code) == "['scipy.sparse._sparsetools']"
+
+
+# the kernels flowseg loads and the ones a later or earlier `import
+# scipy.sparse` uses are one module; csr_array @ (N, C) calls the same kernel
+# on a zeroed output, so it reproduces stencil_sum bit for bit
+STENCIL_AGAINST_CSR_ARRAY = """
+import sys
+import threading
+import numpy as np
+from flowseg.grid import GridShape, disk, grid_adjacency, stencil_sum
+{before}
+adj = grid_adjacency(GridShape(13, 17), disk(3))
+rng = np.random.default_rng(0)
+w = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
+x = rng.normal(size=(adj.shape.n_nodes, 3))
+{call}
+from scipy.sparse import csr_array
+n, n_slots = adj.nbr_safe.shape
+want = csr_array((w.ravel(), adj.nbr_safe.ravel(), n_slots * np.arange(n + 1)), shape=(n, n)) @ x
+assert all(np.array_equal(g, want) for g in got), "stencil_sum differs from csr_array @"
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["kernels first", "scipy.sparse first"])
+def test_stencil_sum_and_scipy_sparse_share_the_kernels(scipy_first):
+    before = "import scipy.sparse" if scipy_first else ""
+    call = (
+        "got = [stencil_sum(w, x, adj)]\n"
+        f"assert ('scipy.sparse' in sys.modules) is {scipy_first}"
+    )
+    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before=before, call=call))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_two_threads_making_the_first_kernel_call_at_once():
+    # both threads may load the extension file; each must get working kernels
+    call = (
+        "got, start = [None, None], threading.Barrier(2)\n"
+        "def first(k):\n"
+        "    start.wait()\n"
+        "    got[k] = stencil_sum(w, x, adj)\n"
+        "threads = [threading.Thread(target=first, args=(k,)) for k in range(2)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert 'scipy.sparse' not in sys.modules"
+    )
+    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before="", call=call))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_top_level_has_every_name_the_benchmark_and_the_contract_read():
