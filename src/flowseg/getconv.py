@@ -230,11 +230,12 @@ def _standardize(x, dx, cls):
 
     Whole clusters of one size are gathered, in (clusters, size, C) chunks of
     about ``grid._BLOCK_ENTRIES`` entries, and written back; without clusters
-    the one block is a view of all rows. Each cluster's rows stay ascending and
-    every step is element-wise or a mean over a cluster's rows, so each
+    the one block is ``x[None]``, all rows. Each cluster's rows stay ascending
+    and every step is element-wise or a mean over a cluster's rows, so each
     cluster's mean is summed in row order, as if it were standardized alone.
     The steps are bound by memory traffic, so they run on the calling thread."""
     if cls is None:
+        # x[None] = c writes a view onto itself, which numpy skips without a copy
         blocks = [None]
     else:
         _, inverse, counts = np.unique(cls, return_inverse=True, return_counts=True)
@@ -245,14 +246,14 @@ def _standardize(x, dx, cls):
         sized = [rows.reshape(-1, size[rows[0]]) for rows in np.split(order, cuts)]
         blocks = [b[part] for b in sized for part in _row_blocks(len(b), b.shape[1] * x.shape[1])]
     for rows in blocks:
-        c = x[None] if rows is None else x[rows]
+        c = x[rows]
         c -= c.mean(axis=1, keepdims=True)
         t = np.square(c)
         std = np.sqrt(t.mean(axis=1, keepdims=True))
         pos = std > 0
         safe = np.where(pos, std, 1.0)
         if dx is not None:
-            dc = dx[None] if rows is None else dx[rows]
+            dc = dx[rows]
             dc -= dc.mean(axis=1, keepdims=True)
             dvar = 2.0 * np.multiply(c, dc, out=t).mean(axis=1, keepdims=True)
             # dc / safe - c * dvar / (2 safe^3), in the order of that expression
@@ -261,12 +262,10 @@ def _standardize(x, dx, cls):
             dc /= safe
             dc -= t
             np.copyto(dc, 0.0, where=~pos)
-            if rows is not None:
-                dx[rows] = dc
+            dx[rows] = dc
         c /= safe
         np.copyto(c, 0.0, where=~pos)
-        if rows is not None:
-            x[rows] = c
+        x[rows] = c
 
 
 def _layer(z, dz, adj, params, clusters=None, mix=None):

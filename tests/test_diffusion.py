@@ -164,6 +164,33 @@ class TestGtDisplacement:
         assert after.currsize == before.currsize
         assert after.misses == before.misses and after.hits == before.hits
 
+    @pytest.mark.parametrize("radius", [1, 3, 5])
+    def test_rows_that_cannot_move_hold_their_own_column(self, radius):
+        # background rows, and labelled pixels whose label no other pixel of
+        # their disk shares, are rows holding only their own column
+        rng = np.random.default_rng(radius)
+        scattered = random_label_map(rng, 19, 23)
+        isolated = rng.random(scattered.shape) < 0.05
+        scattered[isolated] = 100 + np.arange(isolated.sum())  # labels used once
+        offsets = stencil_offsets(disk(radius))
+        for lab in (scattered, synth("two-squares-separated", (24, 24), seed=1)):
+            indptr, indices, data = _same_label_operator(lab, radius)
+            h, w = lab.shape
+            assert np.diff(indptr).min() >= 1
+            assert np.diff(indptr).max() <= len(offsets)
+            np.testing.assert_array_equal(data, 1.0)
+            for i, (r, c) in enumerate(np.ndindex(h, w)):
+                row = indices[indptr[i] : indptr[i + 1]].tolist()
+                nbrs = [
+                    (r + dr) * w + c + dc
+                    for dr, dc in offsets
+                    if 0 <= r + dr < h and 0 <= c + dc < w and lab[r, c] > 0
+                    and lab[r + dr, c + dc] == lab[r, c]
+                ]
+                assert row == (nbrs or [i]), (r, c)
+            assert np.diff(indptr).max() > 1  # some rows can move
+        assert isolated.any()  # and some labelled ones cannot
+
     def test_csr_index_dtype_never_wraps(self):
         slots = len(stencil_offsets(disk(5)))  # 80
         assert _csr_index_dtype(1024 * 1024, slots) is np.int32

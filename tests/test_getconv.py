@@ -704,6 +704,24 @@ def test_masked_layer_peak_stays_within_the_plain_one(monkeypatch):
         assert peak(masked) <= peak(plain) + slack
 
 
+@pytest.mark.parametrize("jvp", [False, True], ids=["forward", "jvp"])
+def test_plain_normalization_peak_is_its_squares_alone(jvp):
+    # without clusters the one block is x[None], written back onto x; numpy
+    # skips that self-assignment, so besides the (N, C) squares the call holds
+    # only a mean's reduction buffer (np.getbufsize() entries) and small
+    # per-channel arrays, and a copying write-back would add a whole (N, C)
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(160 * 160, 32))
+    dx = rng.normal(size=x.shape) if jvp else None
+    tracemalloc.start()
+    try:
+        flowseg.getconv._standardize(x, dx, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes - np.getbufsize() * x.itemsize < 0.01 * x.nbytes
+
+
 def _serial(fn, blocks):
     for block in blocks:
         fn(block)
