@@ -1,11 +1,13 @@
 """Displacement-driven clustering on pixel grids.
 
 The pipeline: build a transmit graph whose single out-edge per node follows
-the displacement vector, contract messages along it so instance boundaries
-drain to zero, label 8-connected components of the surviving messages
-(run-based union-find, ids in raster order of first pixel), then propagate
-those seed labels back out against the direction of the edges: each node
-adopts the label of the node its out-edge points to. Every stage is
+the displacement vector (landing targets built in place and rounded exactly
+by ``trunc``), contract messages along it so instance boundaries drain to
+zero, label 8-connected components of the surviving messages (run-based
+union-find, ids in raster order of first pixel), then propagate those seed
+labels back out against the direction of the edges: each node adopts the
+label of the node its out-edge points to, and all rounds at once read the
+seeds through the out-edge map composed by repeated squaring. Every stage is
 whole-array numpy code; nothing here imports scipy.
 
 :func:`cluster_for_masking` runs the same pipeline on a patch-averaged field
@@ -31,10 +33,6 @@ class TransmitGraph:
     mes: np.ndarray
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
 def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     """Transmit graph of a displacement field, messages initialized to the energy.
 
@@ -42,6 +40,12 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     displacement vector, with both coordinates rounded half away from zero and
     clamped into the grid. A zero vector yields a self-loop. The messages are
     int64 for a bool or integer energy and float64 for a floating one.
+
+    Each coordinate plane is built in place, and clamped before it is
+    rounded: rounding to an integer never crosses the integer bounds 0 and
+    n - 1, so the two steps commute. On the clamped, non-negative plane,
+    rounding half away from zero is ``trunc(x + 0.5)``, with the same float
+    sum as ``copysign(floor(|x| + 0.5), x)``, so every target is exact.
     """
     f = np.asarray(field, dtype=np.float64)
     e = np.asarray(energy)
@@ -52,14 +56,18 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     require_finite(f, "displacement field")
     # a NaN energy would compare unequal to 0 and pass for foreground
     require_finite(e, "energy")
-    shape = GridShape(*e.shape)
-    rows, cols = np.divmod(np.arange(shape.n_nodes, dtype=np.int64), shape.w)
-    tr = _round_half_away(rows + f[..., 0].ravel())
-    tc = _round_half_away(cols + f[..., 1].ravel())
-    tr = np.clip(tr, 0, shape.h - 1).astype(np.int64)
-    tc = np.clip(tc, 0, shape.w - 1).astype(np.int64)
+    h, w = e.shape
+    tr = np.arange(h).reshape(h, 1) + f[..., 0]
+    tc = np.arange(w) + f[..., 1]
+    for x, n in ((tr, h), (tc, w)):
+        np.clip(x, 0, n - 1, out=x)
+        x += 0.5
+        np.trunc(x, out=x)
+    # row * w + col is an integer below 2**53, so the float sum is exact
+    tr *= w
+    tr += tc
     mes = e.ravel().astype(np.float64 if e.dtype.kind == "f" else np.int64)
-    return TransmitGraph(shape, tr * shape.w + tc, mes)
+    return TransmitGraph(GridShape(h, w), tr.astype(np.int64).ravel(), mes)
 
 
 def contract(tg: TransmitGraph, t0: int = 2) -> TransmitGraph:
@@ -69,16 +77,18 @@ def contract(tg: TransmitGraph, t0: int = 2) -> TransmitGraph:
     pointing to it (zero for in-degree 0), in the messages' own dtype. Every
     node forwards to exactly one target, so the total message is conserved:
     exactly for :func:`build_tg`'s int64 messages, which do not wrap as a
-    narrower integer would, nor saturate as a bool would.
+    narrower integer would, nor saturate as a bool would. Contraction moves
+    messages, not edges: the result shares ``tg.target``, and its messages
+    are new.
     """
     if t0 < 0:
         raise ValueError("t0 must be >= 0")
-    mes = tg.mes.copy()
+    mes = tg.mes.copy() if t0 == 0 else tg.mes
     for _ in range(t0):
         new = np.zeros_like(mes)
         np.add.at(new, tg.target, mes)
         mes = new
-    return TransmitGraph(tg.shape, tg.target.copy(), mes)
+    return TransmitGraph(tg.shape, tg.target, mes)
 
 
 def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
@@ -127,12 +137,13 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
         keep = parent[a] != parent[b]
         a, b = a[keep], b[keep]
     ids = np.cumsum(parent == np.arange(len(starts)))[parent]
-    # +id at each run's start and -id one past its end, which is no run's
-    # start: the running sum paints every run with its id
-    paint = np.zeros(shape.h * w1, dtype=np.int64)
-    paint[starts] = ids
-    paint[ends] = -ids
-    return np.cumsum(paint, out=paint).reshape(shape.h, w1)[:, :-1]
+    # +id at each run's start and -id one past its end, at raster index
+    # row * w + col: the running sum paints every run with its id. A run that
+    # ends its row ends where the next row starts, so ends subtract
+    paint = np.zeros(shape.n_nodes + 1, dtype=np.int64)
+    paint[starts - starts // w1] = ids
+    paint[ends - ends // w1] -= ids
+    return np.cumsum(paint, out=paint)[:-1].reshape(shape.h, shape.w)
 
 
 def recover(tg: TransmitGraph, ins: np.ndarray, t1: int = 8) -> np.ndarray:
@@ -141,18 +152,28 @@ def recover(tg: TransmitGraph, ins: np.ndarray, t1: int = 8) -> np.ndarray:
     Starts from the messages ``ins`` and runs ``t1`` rounds of the same
     accumulation as :func:`contract` on the edge-reversed graph; since every
     node has exactly one in-edge there, each round reduces to adopting the
-    label of the node its out-edge ``target`` points to. Returns the final
-    (h, w) label map.
+    label of the node its out-edge ``target`` points to. So ``t1`` rounds read
+    ``ins`` at ``target`` composed with itself ``t1`` times, and that map is
+    built by repeated squaring: for ``t1 = 8``, three squarings and one lookup
+    instead of eight gathers. Returns the final (h, w) label map, in the dtype
+    of ``ins``.
     """
     if t1 < 0:
         raise ValueError("t1 must be >= 0")
     ins = np.asarray(ins)
     if ins.shape != (tg.shape.h, tg.shape.w):
         raise ValueError(f"instance map shape {ins.shape} != grid {tg.shape}")
-    mes = ins.ravel().copy()
-    for _ in range(t1):
-        mes = mes[tg.target]
-    return mes.reshape(tg.shape.h, tg.shape.w)
+    if t1 == 0:
+        return ins.copy()
+    # hop is target applied to itself once for each set bit of t1 seen so far
+    power, hop = tg.target, None
+    while True:
+        if t1 & 1:
+            hop = power if hop is None else hop[power]
+        t1 >>= 1
+        if not t1:
+            return ins.ravel()[hop].reshape(ins.shape)
+        power = power[power]
 
 
 def gcm(field: np.ndarray, energy: np.ndarray, t0: int = 2, t1: int = 8) -> np.ndarray:
@@ -166,7 +187,9 @@ def gcm(field: np.ndarray, energy: np.ndarray, t0: int = 2, t1: int = 8) -> np.n
     tg = build_tg(field, energy)
     seeds = connected_components(contract(tg, t0).mes, tg.shape)
     ids = recover(tg, seeds, t1)
-    return np.where(np.asarray(energy) == 0, 0, ids)
+    # recover returns a new array, so the mask is applied in place
+    np.copyto(ids, 0, where=np.asarray(energy) == 0)
+    return ids
 
 
 def cluster_for_masking(field: np.ndarray, patch: int = 4) -> np.ndarray:

@@ -35,7 +35,12 @@ points. When the distances of the wider ball's boundary points to the narrower
 ball's ``c`` spread over at least that ball's ``2 r``, the wider boundary's
 directed distance is the symmetric one, and only its points within ``2 r`` of
 the largest such distance can attain it (proof at ``_hausdorff``): only those
-are measured. Otherwise the full product is taken.
+are measured, and of those only the points that the narrower boundary's
+extreme points cannot rule out. Otherwise the full product is taken. The same
+balls bound an unmatched object's search: H(A, B) lies within r_A + r_B of
+|c_A - c_B|, so a counterpart whose lower bound exceeds the least upper bound
+over all counterparts cannot be the nearest and is skipped, and the fallback
+stays exact.
 """
 
 from __future__ import annotations
@@ -183,18 +188,19 @@ def _boundaries(objs: _ObjectSet) -> list[tuple]:
     the centre and radius of a ball holding them all (radius plus 1 px of
     slack), and the points' ``_lift`` rows, each point lifted once. A point's
     coordinates are the first two columns of its "to" row."""
-    idx = np.pad(objs.index, 1, constant_values=-1)
-    core = idx[1:-1, 1:-1]
-    inner = (
-        (core == idx[:-2, 1:-1])
-        & (core == idx[2:, 1:-1])
-        & (core == idx[1:-1, :-2])
-        & (core == idx[1:-1, 2:])
-    )
-    rows, cols = np.nonzero((core >= 0) & ~inner)
-    owner = core[rows, cols]
-    order = np.argsort(owner, kind="stable")
-    frm, to = _lift(np.stack([rows[order], cols[order]], axis=1).astype(np.float64))
+    index = objs.index
+    n, w = index.size, index.shape[1]
+    # true where a pixel is no boundary point: background, or (off the grid
+    # edge) a pixel whose four neighbours share its object
+    skip = index < 0
+    across = index[:, 1:] == index[:, :-1]
+    down = index[1:] == index[:-1]
+    skip[1:-1, 1:-1] |= across[1:-1, :-1] & across[1:-1, 1:] & down[:-1, 1:-1] & down[1:, 1:-1]
+    k = np.flatnonzero(~skip)
+    owner = index.ravel()[k]
+    # the keys owner * n + k, below n**2, sort the points by owner, then raster
+    rows, cols = np.divmod(np.sort(owner * n + k) % n, w)
+    frm, to = _lift(np.stack([rows, cols], axis=1).astype(np.float64))
     pts = to[:, :2]
     # every object has a boundary pixel, so no run of points is empty
     counts = np.bincount(owner, minlength=objs.count)
@@ -214,6 +220,10 @@ def _sq_dists(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
     return frm @ to.T
 
 
+# the four directions along which _hausdorff takes a boundary's extreme points
+_AXES = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+
+
 def _hausdorff(a: tuple, b: tuple) -> float:
     """Symmetric Hausdorff distance of two ``_boundaries`` entries.
 
@@ -224,7 +234,12 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     h(B->A) >= max e_b - r_A. If max e_b - min e_b >= 2 r_A, then
     h(B->A) >= h(A->B), so the symmetric distance is h(B->A). A point b with
     e_b < max e_b - 2 r_A has d(b, A) <= e_b + r_A < max e_b - r_A, so it
-    attains no maximum: only the others are measured against all of A.
+    attains no maximum. Of the others, the least squared distance to A's
+    extreme points along ``_AXES`` (points of A) is an upper bound u_b on
+    d(b, A)², and d(b*, A)² for the b* of largest u_b is a lower bound L on
+    the maximum: only the points with u_b >= L, b* among them, are measured
+    against all of A. Every one of these squared distances is an exact
+    integer, so the result is the same float.
     Otherwise every e_b lies within 2 r_A of the smallest, so the ball rules
     out no point of B as a maximiser or a nearest neighbour, and the full
     product is taken.
@@ -246,13 +261,18 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     2 rho, and a dropped point has a true e_b below
     max e_b - 2 r_A + 2 eps <= max e_b - 2 rho.
     """
-    (ca, ra, frm_a, _), (_, _, _, to_b) = sorted((a, b), key=lambda entry: entry[1])
+    (ca, ra, frm_a, to_a), (_, _, _, to_b) = sorted((a, b), key=lambda entry: entry[1])
     e2 = to_b @ np.array([-2.0 * ca[0], -2.0 * ca[1], ca @ ca, 1.0])
     near, far = np.sqrt(max(e2.min(), 0.0)), np.sqrt(max(e2.max(), 0.0))
     # squared distances are exact, so the square root of an extreme equals
     # the Euclidean distance bit for bit
     if far - near >= 2 * ra:
         kept = np.compress(e2 >= (far - 2 * ra) ** 2, to_b, axis=0)
+        proj = to_a[:, :2] @ _AXES
+        extreme = frm_a[np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])]
+        upper = (extreme @ kept.T).min(axis=0)
+        lower = (frm_a @ kept[upper.argmax()]).min()
+        kept = np.compress(upper >= lower, kept, axis=0)
         return float(np.sqrt(_sq_dists(frm_a, kept).min(axis=0).max()))
     d2 = _sq_dists(frm_a, to_b)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
@@ -278,21 +298,31 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return _boundaries(g), _boundaries(p)
 
     @functools.cache
+    def balls(side):
+        entries = bounds()[side]
+        return np.array([e[0] for e in entries]), np.array([e[1] for e in entries])
+
+    @functools.cache
     def hd(i, j):
         if gt_best[i] == j and gt_shared[i] == g.areas[i] == p.areas[j]:
             return 0.0  # the same pixel set
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def one_side(areas, best, pair_hd, n_other):
-        dist = [
-            pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
-            for i, j in enumerate(best)
-        ]
+    def one_side(areas, best, pair_hd, side):
+        def nearest(i):
+            # H lies within r_i + r_k of the centres' distance d, so a k whose
+            # lower bound exceeds the least upper bound cannot attain the minimum
+            (c, r), (c_other, r_other) = balls(side), balls(1 - side)
+            d = np.hypot(*(c_other - c[i]).T)
+            kept = np.flatnonzero(d - r[i] - r_other <= (d + r[i] + r_other).min())
+            return min(pair_hd(i, k) for k in kept.tolist())
+
+        dist = [pair_hd(i, j) if j >= 0 else nearest(i) for i, j in enumerate(best)]
         return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.areas, gt_best, hd, p.count)
-    pred_side = one_side(p.areas, pred_best, lambda j, i: hd(i, j), g.count)
+    gt_side = one_side(g.areas, gt_best, hd, 0)
+    pred_side = one_side(p.areas, pred_best, lambda j, i: hd(i, j), 1)
     return 0.5 * (gt_side + pred_side)
 
 

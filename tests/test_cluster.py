@@ -104,6 +104,82 @@ class TestBuildTg:
             build_tg(np.zeros((3, 3)), np.ones((3, 3), dtype=np.int64))
 
 
+def rounded_targets(field):
+    """The landing targets by the plain formula: ``copysign(floor(|x| + 0.5),
+    x)`` on each whole coordinate plane, then clamped into the grid."""
+    h, w = field.shape[:2]
+    rows, cols = np.divmod(np.arange(h * w, dtype=np.int64), w)
+
+    def plane(pos, shift, n):
+        x = pos + shift.ravel()
+        return np.clip(np.copysign(np.floor(np.abs(x) + 0.5), x), 0, n - 1).astype(np.int64)
+
+    return plane(rows, field[..., 0], h) * w + plane(cols, field[..., 1], w)
+
+
+def landing_field(h, w, rows, cols):
+    """The field that lands each pixel on the (float) position (rows, cols)."""
+    r, c = np.mgrid[0:h, 0:w]
+    return np.stack([rows - r, cols - c], axis=-1).astype(np.float64)
+
+
+class TestBuildTgRounding:
+    """Landing targets equal the plain rounding formula on every edge case."""
+
+    def assert_plain(self, field):
+        tg = build_tg(field, np.ones(field.shape[:2], dtype=np.int64))
+        np.testing.assert_array_equal(tg.target, rounded_targets(field))
+        assert tg.target.dtype == np.int64
+
+    def test_landings_on_half_pixels(self):
+        # every landing is k + 0.5 or -(k + 0.5), k from -4 to 12, on a 7x9 grid
+        rng = np.random.default_rng(0)
+        halves = rng.integers(-4, 13, (7, 9, 2)) + 0.5
+        halves *= rng.choice([-1.0, 1.0], halves.shape)
+        self.assert_plain(landing_field(7, 9, halves[..., 0], halves[..., 1]))
+
+    def test_just_below_one_half(self):
+        # 0.49999999999999994 + 0.5 rounds up to 1.0 in float64
+        x = 0.49999999999999994
+        field = np.zeros((5, 6, 2))
+        field[::2, ::2] = x
+        field[1::2, 1::2] = -x
+        field[::2, 1::2, 0] = x
+        field[1::2, ::2, 1] = -x
+        self.assert_plain(field)
+        self.assert_plain(landing_field(5, 6, np.full((5, 6), x), np.full((5, 6), -x)))
+
+    def test_negative_zero(self):
+        field = np.full((4, 5, 2), -0.0)
+        field[1, 1] = (0.0, -0.0)
+        self.assert_plain(field)
+        self.assert_plain(landing_field(4, 5, np.full((4, 5), -0.0), np.full((4, 5), -0.0)))
+
+    def test_landings_off_every_edge(self):
+        field = np.zeros((6, 8, 2))
+        field[0, :, 0] = -1.5   # above the top row
+        field[-1, :, 0] = 1.5   # below the bottom row
+        field[:, 0, 1] = -0.7   # left of the first column
+        field[:, -1, 1] = 2.5   # right of the last column
+        field[2, 3] = (-9.5, 9.5)
+        field[3, 4] = (9.5, -9.5)
+        self.assert_plain(field)
+
+    def test_displacements_near_1e15(self):
+        rng = np.random.default_rng(1)
+        field = rng.choice([-1.0, 1.0], (5, 7, 2)) * (1e15 + rng.integers(0, 8, (5, 7, 2)) / 8)
+        field[2, 3] = (0.5, -0.5)
+        self.assert_plain(field)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (7, 13), (13, 5), (31, 17)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_fields_on_odd_grids(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        field = rng.normal(0.0, 3.0, (*shape, 2))
+        field[rng.random(shape) < 0.3] = rng.integers(-6, 7, (2,)) + 0.5
+        self.assert_plain(field)
+
+
 class TestContract:
     def test_line_example(self):
         tg = TransmitGraph(GridShape(1, 3), np.array([1, 1, 1]), np.array([1, 1, 1]))
@@ -136,6 +212,14 @@ class TestContract:
         tg = TransmitGraph(GridShape(1, 2), np.array([0, 1]), np.array([1, 1]))
         with pytest.raises(ValueError):
             contract(tg, -1)
+
+    @pytest.mark.parametrize("t0", [0, 1, 3])
+    def test_shares_the_edges_and_leaves_the_messages(self, t0):
+        tg = TransmitGraph(GridShape(1, 3), np.array([1, 1, 2]), np.array([1, 2, 3]))
+        out = contract(tg, t0)
+        assert out.target is tg.target
+        assert not np.shares_memory(out.mes, tg.mes)
+        np.testing.assert_array_equal(tg.mes, [1, 2, 3])
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +327,14 @@ class TestConnectedComponents:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             gcm(field, np.full((1, 2), 1e308))
 
+    def test_a_run_that_ends_a_row_stops_before_the_next_row(self):
+        # each run that ends a row is followed by one that starts the next
+        binary = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0]], dtype=bool)
+        got = labelled(binary)
+        np.testing.assert_array_equal(got, [[0, 0, 1, 1], [2, 0, 0, 0], [0, 0, 0, 3], [4, 4, 0, 0]])
+        # contiguous, so recover reads it without a copy
+        assert got.flags.c_contiguous
+
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_rejects_a_message_of_the_wrong_length(self, n):
         with pytest.raises(ValueError, match="entries"):
@@ -285,6 +377,36 @@ class TestReverseRecover:
         tg = TransmitGraph(GridShape(1, 3), np.array([1, 2, 2]), np.zeros(3))
         with pytest.raises(ValueError, match="instance map shape"):
             recover(tg, np.zeros((3, 1), int), 1)
+
+
+def plain_rounds(target, ins, t1):
+    mes = ins.ravel().copy()
+    for _ in range(t1):
+        mes = mes[target]
+    return mes.reshape(ins.shape)
+
+
+class TestRecoverBySquaring:
+    """``recover`` reads ``ins`` through ``target`` composed by squaring; it
+    must equal ``t1`` plain gather rounds for every count."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_plain_rounds(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 9, 11
+        # a random map: cycles of every length, trees hanging off them
+        target = rng.integers(0, h * w, h * w)
+        loops = rng.random(h * w) < 0.2
+        target[loops] = np.flatnonzero(loops)
+        tg = TransmitGraph(GridShape(h, w), target, np.zeros(h * w))
+        # a non-contiguous view, which recover has to copy before its lookup
+        ins = rng.integers(0, 200, (h, w + 1)).astype(dtype)[:, :-1]
+        assert not ins.flags.c_contiguous
+        for t1 in range(21):
+            got = recover(tg, ins, t1)
+            np.testing.assert_array_equal(got, plain_rounds(target, ins, t1), err_msg=str(t1))
+            assert got.dtype == dtype and not np.shares_memory(got, ins)
 
 
 class TestGcm:

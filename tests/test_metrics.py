@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from flowseg import metrics
 from flowseg.metrics import evaluate, match_objects, obj_dice, obj_f1, obj_hd
 from flowseg.synth import synth
-from oracles import metric_obj_dice, metric_obj_f1, metric_obj_hd, random_instance_pair
+from oracles import (
+    eroded_with_specks,
+    metric_obj_dice,
+    metric_obj_f1,
+    metric_obj_hd,
+    random_instance_pair,
+)
 
 
 def two_object_map():
@@ -332,6 +338,19 @@ class TestPrunedHausdorff:
         assert obj_hd(small, big) == unpruned_obj_hd(small, big) == want
         assert obj_hd(big, small) == unpruned_obj_hd(big, small) == want
 
+    def test_extreme_points_leave_one_far_point_to_measure(self, monkeypatch):
+        # 65 points of the disk's far band are within 2 r of its farthest
+        # point; the dot's extreme points rule out all but the farthest one
+        rr, cc = np.mgrid[0:60, 0:60]
+        disk = (np.hypot(rr - 30, cc - 30) <= 27).astype(np.int64)
+        dot = np.zeros_like(disk)
+        dot[20:25, 38:43] = 1
+        a = metrics._boundaries(metrics._extract(dot))[0]
+        b = metrics._boundaries(metrics._extract(disk))[0]
+        shapes = spy_products(monkeypatch)
+        assert metrics._hausdorff(a, b) == dense_hausdorff(a[3][:, :2], b[3][:, :2])
+        assert shapes == [(len(a[2]), 1)]
+
     def test_a_ring_around_a_small_object_takes_the_full_product(self, monkeypatch):
         rr, cc = np.mgrid[0:41, 0:41]
         dist = np.hypot(rr - 20, cc - 20)
@@ -464,6 +483,86 @@ class TestOracleAgreement:
     def test_exact_ties_everywhere(self, shape, swap):
         pred, gt = shifted_tiles(*shape)
         assert_equals_oracles(*((gt, pred) if swap else (pred, gt)))
+
+
+def side_by_side(fixture):
+    """The ``fixture`` map in the left half of a 64x64 ground truth and in the
+    right half of the prediction: no object overlaps any counterpart."""
+    half = synth(fixture, (64, 32), 0)
+    gt = np.zeros((64, 64), dtype=np.int64)
+    pred = gt.copy()
+    gt[:, :32] = half
+    pred[:, 32:] = half
+    return pred, gt
+
+
+def equidistant_speck():
+    """A 3x3 speck in the prediction only, mirrored between two squares that
+    both maps hold: its two candidate distances are the same float."""
+    gt = np.zeros((9, 19), dtype=np.int64)
+    gt[2:7, 1:6] = 1
+    gt[2:7, 13:18] = 2
+    pred = gt.copy()
+    pred[3:6, 8:11] = 3
+    return pred, gt
+
+
+def speck_by_a_long_bar():
+    """A speck whose nearest centre is a long bar's, while a small square
+    farther off is nearer in Hausdorff distance."""
+    gt = np.zeros((40, 60), dtype=np.int64)
+    gt[10:12, :] = 1
+    gt[30:33, 28:31] = 2
+    pred = gt.copy()
+    pred[14:17, 28:31] = 3
+    return pred, gt
+
+
+class TestUnmatchedFallback:
+    """An object with no overlapping counterpart measures only the
+    counterparts that the ball bound cannot rule out, and keeps the exact
+    minimum over all of them."""
+
+    @pytest.mark.parametrize(
+        "maps",
+        [
+            side_by_side("random-voronoi"),
+            side_by_side("grid-of-9-instances"),
+            eroded_with_specks(synth("random-voronoi", (64, 64), 0), np.random.default_rng(0), 2),
+            equidistant_speck(),
+            speck_by_a_long_bar(),
+        ],
+        ids=["disjoint-voronoi", "disjoint-grid", "specks", "tie", "far-centre"],
+    )
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equals_the_oracle_bit_for_bit(self, maps, swap):
+        pred, gt = maps[::-1] if swap else maps
+        assert float.hex(obj_hd(pred, gt)) == float.hex(metric_obj_hd(pred, gt))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_oracle_on_random_half_shifted_maps(self, seed):
+        # a shift by half the width leaves most objects with no overlap
+        pred, gt = random_instance_pair(np.random.default_rng(seed), 18, 24)
+        pred = np.roll(pred, 12, axis=1)
+        assert float.hex(obj_hd(pred, gt)) == float.hex(metric_obj_hd(pred, gt))
+
+    def test_the_tie_measures_both_squares(self, monkeypatch):
+        pred, gt = equidistant_speck()
+        calls = []
+        hausdorff = metrics._hausdorff
+        monkeypatch.setattr(metrics, "_hausdorff", lambda a, b: calls.append(1) or hausdorff(a, b))
+        assert obj_hd(pred, gt) > 0 and len(calls) == 2
+
+    def test_bounded_search_measures_few_pairs(self, monkeypatch):
+        # 216 pair distances when every counterpart of an unmatched speck is measured
+        gt, pred = eroded_with_specks(
+            synth("random-voronoi", (128, 128), 0), np.random.default_rng(0), 8
+        )
+        calls = []
+        hausdorff = metrics._hausdorff
+        monkeypatch.setattr(metrics, "_hausdorff", lambda a, b: calls.append(1) or hausdorff(a, b))
+        obj_hd(pred, gt)
+        assert len(calls) <= 67
 
 
 class TestEvaluate:
