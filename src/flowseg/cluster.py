@@ -63,13 +63,10 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
         np.clip(x, 0, n - 1, out=x)
         x += 0.5
         np.trunc(x, out=x)
-    # row * w + col is an integer below 2**53, so the float sum is exact; it
-    # is cast to int64 in place, in the same 8 bytes per node
+    # row * w + col is an integer below 2**53, so the float sum is exact
     tr *= w
     tr += tc
-    flat = tr.ravel()
-    target = flat.view(np.int64)
-    np.copyto(target, flat, casting="unsafe")
+    target = tr.ravel().astype(np.int64)
     mes = e.ravel().astype(np.float64 if e.dtype.kind == "f" else np.int64)
     return TransmitGraph(GridShape(h, w), target, mes)
 
@@ -81,18 +78,16 @@ def contract(tg: TransmitGraph, t0: int = 2) -> TransmitGraph:
     pointing to it (zero for in-degree 0), in the messages' own dtype. Every
     node forwards to exactly one target, so the total message is conserved:
     exactly for :func:`build_tg`'s int64 messages, which do not wrap as a
-    narrower integer would, nor saturate as a bool would. Contraction moves
-    messages, not edges: the result shares ``tg.target``, and its messages
-    are new.
+    narrower integer would, nor saturate as a bool would.
     """
     if t0 < 0:
         raise ValueError("t0 must be >= 0")
-    mes = tg.mes.copy() if t0 == 0 else tg.mes
+    mes = tg.mes.copy()
     for _ in range(t0):
         new = np.zeros_like(mes)
         np.add.at(new, tg.target, mes)
         mes = new
-    return TransmitGraph(tg.shape, tg.target, mes)
+    return TransmitGraph(tg.shape, tg.target.copy(), mes)
 
 
 def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:

@@ -35,12 +35,7 @@ points. When the distances of the wider ball's boundary points to the narrower
 ball's ``c`` spread over at least that ball's ``2 r``, the wider boundary's
 directed distance is the symmetric one, and only its points within ``2 r`` of
 the largest such distance can attain it (proof at ``_hausdorff``): only those
-are measured, and of those only the points that the narrower boundary's
-extreme points cannot rule out. Otherwise the full product is taken. The same
-balls bound an unmatched object's search: H(A, B) lies within r_A + r_B of
-|c_A - c_B|, so a counterpart whose lower bound exceeds the least upper bound
-over all counterparts cannot be the nearest and is skipped, and the fallback
-stays exact.
+are measured. Otherwise the full product is taken.
 """
 
 from __future__ import annotations
@@ -220,10 +215,6 @@ def _sq_dists(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
     return frm @ to.T
 
 
-# the four directions along which _hausdorff takes a boundary's extreme points
-_AXES = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
-
-
 def _hausdorff(a: tuple, b: tuple) -> float:
     """Symmetric Hausdorff distance of two ``_boundaries`` entries.
 
@@ -234,12 +225,7 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     h(B->A) >= max e_b - r_A. If max e_b - min e_b >= 2 r_A, then
     h(B->A) >= h(A->B), so the symmetric distance is h(B->A). A point b with
     e_b < max e_b - 2 r_A has d(b, A) <= e_b + r_A < max e_b - r_A, so it
-    attains no maximum. Of the others, the least squared distance to A's
-    extreme points along ``_AXES`` (points of A) is an upper bound u_b on
-    d(b, A)², and d(b*, A)² for the b* of largest u_b is a lower bound L on
-    the maximum: only the points with u_b >= L, b* among them, are measured
-    against all of A. Every one of these squared distances is an exact
-    integer, so the result is the same float.
+    attains no maximum: only the others are measured against all of A.
     Otherwise every e_b lies within 2 r_A of the smallest, so the ball rules
     out no point of B as a maximiser or a nearest neighbour, and the full
     product is taken.
@@ -261,18 +247,13 @@ def _hausdorff(a: tuple, b: tuple) -> float:
     2 rho, and a dropped point has a true e_b below
     max e_b - 2 r_A + 2 eps <= max e_b - 2 rho.
     """
-    (ca, ra, frm_a, to_a), (_, _, _, to_b) = sorted((a, b), key=lambda entry: entry[1])
+    (ca, ra, frm_a, _), (_, _, _, to_b) = sorted((a, b), key=lambda entry: entry[1])
     e2 = to_b @ np.array([-2.0 * ca[0], -2.0 * ca[1], ca @ ca, 1.0])
     near, far = np.sqrt(max(e2.min(), 0.0)), np.sqrt(max(e2.max(), 0.0))
     # squared distances are exact, so the square root of an extreme equals
     # the Euclidean distance bit for bit
     if far - near >= 2 * ra:
         kept = np.compress(e2 >= (far - 2 * ra) ** 2, to_b, axis=0)
-        proj = to_a[:, :2] @ _AXES
-        extreme = frm_a[np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])]
-        upper = (extreme @ kept.T).min(axis=0)
-        lower = (frm_a @ kept[upper.argmax()]).min()
-        kept = np.compress(upper >= lower, kept, axis=0)
         return float(np.sqrt(_sq_dists(frm_a, kept).min(axis=0).max()))
     d2 = _sq_dists(frm_a, to_b)
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
@@ -298,31 +279,21 @@ def obj_hd(pred: np.ndarray, gt: np.ndarray, *, _paired=None) -> float:
         return _boundaries(g), _boundaries(p)
 
     @functools.cache
-    def balls(side):
-        entries = bounds()[side]
-        return np.array([e[0] for e in entries]), np.array([e[1] for e in entries])
-
-    @functools.cache
     def hd(i, j):
         if gt_best[i] == j and gt_shared[i] == g.areas[i] == p.areas[j]:
             return 0.0  # the same pixel set
         gt_bounds, pred_bounds = bounds()
         return _hausdorff(gt_bounds[i], pred_bounds[j])
 
-    def one_side(areas, best, pair_hd, side):
-        def nearest(i):
-            # H lies within r_i + r_k of the centres' distance d, so a k whose
-            # lower bound exceeds the least upper bound cannot attain the minimum
-            (c, r), (c_other, r_other) = balls(side), balls(1 - side)
-            d = np.hypot(*(c_other - c[i]).T)
-            kept = np.flatnonzero(d - r[i] - r_other <= (d + r[i] + r_other).min())
-            return min(pair_hd(i, k) for k in kept.tolist())
-
-        dist = [pair_hd(i, j) if j >= 0 else nearest(i) for i, j in enumerate(best)]
+    def one_side(areas, best, pair_hd, n_other):
+        dist = [
+            pair_hd(i, j) if j >= 0 else min(pair_hd(i, k) for k in range(n_other))
+            for i, j in enumerate(best)
+        ]
         return _ordered_sum(areas / areas.sum() * np.array(dist))
 
-    gt_side = one_side(g.areas, gt_best, hd, 0)
-    pred_side = one_side(p.areas, pred_best, lambda j, i: hd(i, j), 1)
+    gt_side = one_side(g.areas, gt_best, hd, p.count)
+    pred_side = one_side(p.areas, pred_best, lambda j, i: hd(i, j), g.count)
     return 0.5 * (gt_side + pred_side)
 
 

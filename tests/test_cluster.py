@@ -213,14 +213,6 @@ class TestContract:
         with pytest.raises(ValueError):
             contract(tg, -1)
 
-    @pytest.mark.parametrize("t0", [0, 1, 3])
-    def test_shares_the_edges_and_leaves_the_messages(self, t0):
-        tg = TransmitGraph(GridShape(1, 3), np.array([1, 1, 2]), np.array([1, 2, 3]))
-        out = contract(tg, t0)
-        assert out.target is tg.target
-        assert not np.shares_memory(out.mes, tg.mes)
-        np.testing.assert_array_equal(tg.mes, [1, 2, 3])
-
 
 @pytest.fixture(scope="module")
 def voronoi_field():
