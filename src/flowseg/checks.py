@@ -4,16 +4,16 @@ Two kinds of evidence:
 
 * a spatial-permutation probe showing the anisotropic layer separates two
   nodes whose neighbor feature multisets are identical but arranged
-  differently, while the isotropic baseline provably cannot
+  differently, while the same layer with its slot queries tied to one
+  column, which makes it isotropic, provably cannot
 * finite-difference Jacobian checks of each hand-derived JVP (diffusivity,
-  getconv, getblock; the isotropic baseline has none) against central
-  differences at a :class:`CheckPoint`, whose ``args`` are what the op takes
-  after its input: grid, then parameters
+  getconv, getblock) against central differences at a :class:`CheckPoint`,
+  whose ``args`` are what the op takes after its input: grid, then parameters
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .getconv import (
     getblock_forward_jvp,
     getconv_forward,
     getconv_forward_jvp,
-    isotropic_attention_forward,
-    random_iso_params,
     random_layer_params,
 )
 from .grid import GridShape, grid_adjacency, nid, square
@@ -51,18 +49,25 @@ class ProbeReport:
 def isomorphism_probe(
     seed: int, u: np.ndarray | None = None, v: np.ndarray | None = None
 ) -> ProbeReport:
-    """Compare both layers on two nodes with permuted but equal neighborhoods.
+    """Compare the layer with and without slot-indexed queries on two nodes
+    with permuted but equal neighborhoods.
 
     On a 3x7 grid with the 3x3 stencil, node A at (1, 1) sees feature u on its
     left and v on its right; node B at (1, 5) sees v on its left and u on its
     right. Every other feature (including A's and B's own) is zero, so the
     neighbor feature multisets of A and B are identical and differ only in
-    spatial arrangement. Both layers run with parameters drawn from ``seed``;
-    the report carries the max-abs output difference between A and B for each.
+    spatial arrangement. The anisotropic layer runs with parameters drawn from
+    ``seed``; the isotropic contrast is that layer with every slot's query
+    tied to the first column (``w2`` and ``b2`` repeated), so it draws nothing
+    more. The report carries the max-abs output difference between A and B
+    for each.
 
-    The isotropic gap is exactly 0.0 by construction (its aggregate at A and B
-    is the same two-term sum, commuted); the anisotropic gap is generically
-    positive whenever u != v.
+    Tied, node i emits one query g(z_i) in every slot, and the weight of edge
+    (i, j) is ``exp(g(z_i) + g(z_j))``, a function of the endpoints alone. A
+    and B then each sum the same two nonzero terms between exact zeros, in
+    swapped slot order, and ``a + b == b + a`` in floating point: the
+    isotropic gap is exactly 0.0. The anisotropic gap is generically positive
+    whenever u != v.
     """
     rng = np.random.default_rng(seed)
     shape = GridShape(3, 7)
@@ -83,8 +88,13 @@ def isomorphism_probe(
     feats[nid((1, 4), shape)] = v
     feats[nid((1, 6), shape)] = u
 
-    aniso = getconv_forward(feats, adj, random_layer_params(rng, CHANNELS, adj.n_slots))
-    iso = isotropic_attention_forward(feats, adj, random_iso_params(rng, CHANNELS))
+    n = adj.n_slots
+    params = random_layer_params(rng, CHANNELS, n)
+    tied = replace(
+        params, w2=np.repeat(params.w2[:, :1], n, axis=1), b2=np.full(n, params.b2[0])
+    )
+    aniso = getconv_forward(feats, adj, params)
+    iso = getconv_forward(feats, adj, tied)
     return ProbeReport(
         anisotropic_gap=float(np.abs(aniso[node_a] - aniso[node_b]).max()),
         isotropic_gap=float(np.abs(iso[node_a] - iso[node_b]).max()),

@@ -4,12 +4,14 @@ The core layer computes one scalar weight per directed edge from slot-indexed
 query messages: a node emits one query per stencil slot, and the weight of
 edge (i, j) is ``exp(q[i, slot of j] + q[j, slot of i])``. Because the weight
 reads the *slot*, not just the endpoint identities, spatially permuting two
-neighbors with identical feature multisets changes the aggregate; the
-isotropic baseline in this module cannot tell them apart. That baseline is a
-forward only, the contrast of the isomorphism probe.
+neighbors with identical feature multisets changes the aggregate. The same
+layer with every slot's query tied to one column is isotropic: its weight
+depends on the two endpoints only, and it cannot tell them apart (the
+contrast of :func:`~flowseg.checks.isomorphism_probe`).
 
-Every other forward here has a ``*_jvp`` returning the primal output and its
-directional derivative, used by the finite-difference checks. Each layer entry
+:func:`diffusivity`, :func:`getconv_forward` and :func:`getblock_forward`
+each have a ``*_jvp`` returning the primal output and its directional
+derivative, used by the finite-difference checks. Each layer entry
 point checks its input, then calls the private ``_layer`` once for the edge
 weights, aggregation, normalization and residual, which in a JVP carries the
 tangent beside each step: a JVP's primal is the forward's own arithmetic. Each
@@ -71,18 +73,6 @@ class LayerParams:
     pw: np.ndarray | None = None
 
 
-@dataclass
-class IsoParams:
-    """Weights of the isotropic baseline: per-node query/key scalars."""
-
-    wq: np.ndarray
-    bq: float
-    wk: np.ndarray
-    bk: float
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
 def random_layer_params(
     rng: np.random.Generator, channels: int, n_slots: int, kernel: int | None = None
 ) -> LayerParams:
@@ -95,17 +85,6 @@ def random_layer_params(
         beta=0.1 * rng.normal(size=channels),
         dw=None if kernel is None else PARAM_SCALE * rng.normal(size=(channels, kernel, kernel)),
         pw=None if kernel is None else PARAM_SCALE * rng.normal(size=(channels, channels)),
-    )
-
-
-def random_iso_params(rng: np.random.Generator, channels: int) -> IsoParams:
-    return IsoParams(
-        wq=PARAM_SCALE * rng.normal(size=channels),
-        bq=float(PARAM_SCALE * rng.normal()),
-        wk=PARAM_SCALE * rng.normal(size=channels),
-        bk=float(PARAM_SCALE * rng.normal()),
-        gamma=1.0 + 0.1 * rng.normal(size=channels),
-        beta=0.1 * rng.normal(size=channels),
     )
 
 
@@ -271,14 +250,12 @@ def _standardize(x, dx, cls):
 def _layer(z, dz, adj, params, clusters=None, mix=None):
     """``z + BN(sum_j s_ij x_j) * gamma + beta`` for ``x = mix(z)``, or z without
     ``mix``, and its derivative along ``dz`` when given. The weights s of x, cut
-    between ``clusters``, come from the public forward primitives, from their
-    JVPs under a tangent (x's is ``mix(dz)``), or from :func:`_iso_weights`."""
+    between ``clusters``, come from the public forward primitives, or from their
+    JVPs under a tangent (x's is ``mix(dz)``)."""
     if adj.shape.n_nodes < 2:
         raise ValueError("normalization needs at least 2 nodes")
     x, dx = (z, dz) if mix is None else (mix(z), None if dz is None else mix(dz))
-    if isinstance(params, IsoParams):
-        s, ds = _iso_weights(x, adj, params), None
-    elif dz is None:
+    if dz is None:
         s, ds = diffusivity(query_messages(x, params), adj), None
     else:
         s, ds = diffusivity_jvp(*_query(x, dx, params), adj)
@@ -384,27 +361,3 @@ def getblock_forward(
 def getblock_forward_jvp(grid_feats, tangent, spec, params):
     return _block(grid_feats, tangent, spec, params, jvp=True)
 
-
-def _iso_weights(z, adj, params):
-    """Slot-blind weights ``exp(q_i + k_j)`` from row-wise linear maps."""
-    # an inf query or key would come out as the finite clamped weight exp(EXP_CLAMP)
-    q = require_finite(z @ params.wq + params.bq, "queries")
-    k = require_finite(z @ params.wk + params.bk, "keys")
-    e = q[:, None] + k[adj.nbr_safe]
-    _edge_weights(e, None, adj.valid)
-    return e
-
-
-def isotropic_attention_forward(
-    feats: np.ndarray, adj: GridAdjacency, params: IsoParams
-) -> np.ndarray:
-    """Baseline layer whose edge weight ``exp(q_i + k_j)`` ignores slots.
-
-    The per-node query/key scalars come from row-wise linear maps, so the
-    aggregate is a pure multiset function of the neighborhood: permuting
-    neighbors' spatial positions cannot change it. Aggregation, normalization,
-    and residual are shared with :func:`getconv_forward`. It is the contrast
-    of the isomorphism probe only, so it has no JVP.
-    """
-    z = _finite(feats, (adj.shape.n_nodes, "C"), "features")
-    return _layer(z, None, adj, params)[0]

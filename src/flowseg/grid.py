@@ -227,9 +227,15 @@ def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> n
     which adds their products straight into its rows of the zeroed output. An
     off-grid slot is an entry at column 0 that adds +0.0 to its row. Each row
     sums from zero in slot order, so the result is the in-grid sum bit for
-    bit, and no sum crosses the threads."""
-    kernels = _csr_kernels()
+    bit, and no sum crosses the threads. Tables of other shapes raise
+    ``ValueError``: the kernel would read or write past their buffers."""
     n, n_slots = adj.nbr_safe.shape
+    if np.shape(weights) != (n, n_slots) or np.ndim(feats) != 2 or len(feats) != n:
+        raise ValueError(
+            f"stencil_sum needs ({n}, {n_slots}) weights and ({n}, C) features, "
+            f"got {np.shape(weights)} and {np.shape(feats)}"
+        )
+    kernels = _csr_kernels()
     dtype = np.result_type(weights, feats)
     # the kernel reads raveled tables of one dtype: no copy for the layer's f64
     weights, feats = (np.ascontiguousarray(a, dtype) for a in (weights, feats))

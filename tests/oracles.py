@@ -367,23 +367,6 @@ def oracle_getblock(grid_feats, spec, params):
     return out.reshape(h, w, cdim)
 
 
-def oracle_isotropic(feats, h, w, spec, params):
-    offs = offsets_of(spec)
-    n, cdim = feats.shape
-    q = [float(feats[i] @ params.wq + params.bq) for i in range(n)]
-    k = [float(feats[i] @ params.wk + params.bk) for i in range(n)]
-    s = np.zeros((n, len(offs)))
-    for r in range(h):
-        for c in range(w):
-            i = r * w + c
-            for slot, (dr, dc) in enumerate(offs):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w:
-                    s[i, slot] = math.exp(min(q[i] + k[rr * w + cc], EXP_CLAMP))
-    agg = oracle_aggregate(s, feats, h, w, spec)
-    return feats + _oracle_standardize(agg) * params.gamma + params.beta
-
-
 # ----------------------------------------------------------- random inputs
 
 

@@ -29,6 +29,19 @@ class TestIsomorphismProbe:
         for seed in range(10):
             assert isomorphism_probe(seed).anisotropic_gap > 1e-6
 
+    @pytest.mark.parametrize("scale, blind", [(1e-3, {5, 7}), (1.0, set()), (30.0, set())])
+    def test_explicit_distinct_features(self, scale, blind):
+        # at 30, exponents reach the clamp, the tied layer's too (at seeds 8,
+        # 12 and 17); its sums at A and B stay the same two terms, commuted.
+        # At 1e-3, seeds 5 and 7 draw an all-negative b1: no ReLU fires at u,
+        # v or 0, every query is b2, and the layer is blind to the features
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            u, v = scale * rng.normal(size=(2, 4))
+            rep = isomorphism_probe(seed, u=u, v=v)
+            assert rep.isotropic_gap == 0.0
+            assert (rep.anisotropic_gap > 0.0) is (seed not in blind), seed
+
     def test_equal_features_give_zero_gaps(self):
         u = np.array([1.0, -0.5, 2.0, 0.25])
         rep = isomorphism_probe(0, u=u, v=u)

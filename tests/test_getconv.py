@@ -12,7 +12,6 @@ import pytest
 import flowseg.getconv
 import flowseg.grid
 from flowseg.getconv import (
-    IsoParams,
     LayerParams,
     depthwise,
     diffusivity,
@@ -21,9 +20,7 @@ from flowseg.getconv import (
     getblock_forward_jvp,
     getconv_forward,
     getconv_forward_jvp,
-    isotropic_attention_forward,
     query_messages,
-    random_iso_params,
     random_layer_params,
 )
 from flowseg.grid import (
@@ -40,7 +37,6 @@ from oracles import (
     oracle_diffusivity,
     oracle_getblock,
     oracle_getconv,
-    oracle_isotropic,
     oracle_query_messages,
 )
 
@@ -168,11 +164,19 @@ class TestGetconvForward:
         out = getconv_forward(z, adj, params, clusters=np.arange(9))
         np.testing.assert_array_equal(out, z)
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize("tied", [False, True], ids=["plain", "tied"])
+    def test_matches_dense_oracle(self, tied):
+        # tied: every slot's query is the first column's, the isotropic
+        # contrast of the isomorphism probe
         rng = np.random.default_rng(8)
         adj = grid_adjacency(GridShape(4, 4), square(3))
         z = rng.normal(size=(16, 4))
         params = random_layer_params(rng, 4, adj.n_slots)
+        if tied:
+            n = adj.n_slots
+            params = dataclasses.replace(
+                params, w2=np.repeat(params.w2[:, :1], n, axis=1), b2=np.full(n, params.b2[0])
+            )
         np.testing.assert_allclose(
             getconv_forward(z, adj, params),
             oracle_getconv(z, 4, 4, square(3), params),
@@ -525,54 +529,6 @@ class TestDepthwise:
             depthwise(img, np.ones((3, 3, 3)))
 
 
-class TestIsotropicForward:
-    def test_uniform_features_give_uniform_interior(self):
-        # corner/edge nodes aggregate fewer neighbors, so compare interior rows
-        adj = grid_adjacency(GridShape(5, 5), square(3))
-        params = random_iso_params(np.random.default_rng(14), 3)
-        z = np.tile([[1.0, -2.0, 0.5]], (25, 1))
-        out = np.asarray(isotropic_attention_forward(z, adj, params))
-        interior = [r * 5 + c for r in range(1, 4) for c in range(1, 4)]
-        sub = out[interior]
-        np.testing.assert_allclose(sub, np.broadcast_to(sub[0], sub.shape), atol=1e-12)
-
-    def test_zero_maps_reduce_to_plain_sum(self):
-        rng = np.random.default_rng(15)
-        adj = grid_adjacency(GridShape(3, 4), square(3))
-        params = IsoParams(
-            wq=np.zeros(3), bq=0.0, wk=np.zeros(3), bk=0.0,
-            gamma=np.ones(3), beta=np.zeros(3),
-        )
-        z = rng.normal(size=(12, 3))
-        zero_q = zero_mlp_params(3, adj.n_slots)
-        np.testing.assert_allclose(
-            isotropic_attention_forward(z, adj, params),
-            getconv_forward(z, adj, zero_q),  # both have s = 1 on every edge
-            atol=1e-12,
-        )
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(16)
-        adj = grid_adjacency(GridShape(4, 4), square(3))
-        params = random_iso_params(rng, 4)
-        z = rng.normal(size=(16, 4))
-        np.testing.assert_allclose(
-            isotropic_attention_forward(z, adj, params),
-            oracle_isotropic(z, 4, 4, square(3), params),
-            atol=1e-10,
-        )
-
-    @pytest.mark.parametrize("name, bad", [("bq", np.inf), ("bk", -np.inf)])
-    def test_rejects_a_non_finite_query_or_key(self, name, bad):
-        # unchecked, every exponent clamped to EXP_CLAMP (or every weight was
-        # 0) and the output looked finite
-        adj = grid_adjacency(GridShape(4, 4), square(3))
-        params = dataclasses.replace(random_iso_params(np.random.default_rng(17), 3), **{name: bad})
-        z = np.random.default_rng(18).normal(size=(16, 3))
-        with pytest.raises(ValueError, match="must be finite"):
-            isotropic_attention_forward(z, adj, params)
-
-
 def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
     # wrappers put around query_messages and diffusivity (timing, counting)
     # must see forward passes only
@@ -617,10 +573,7 @@ def _weight_producers():
     """Every producer of (N, n_slots) weights, with exponents far past the clamp."""
     rng = np.random.default_rng(24)
     adj = grid_adjacency(GridShape(7, 6), disk(2))
-    z = rng.normal(size=(42, 3))
     q = 40.0 * rng.normal(size=(42, adj.n_slots))
-    iso = random_iso_params(rng, 3)
-    iso.wq, iso.wk = 60.0 * iso.wq, 60.0 * iso.wk
     s, ds = diffusivity_jvp(q, rng.normal(size=q.shape), adj)
     confined = s.copy(), ds.copy()
     flowseg.getconv._confine(*confined, np.arange(42) % 3, adj)
@@ -630,7 +583,6 @@ def _weight_producers():
         "diffusivity_jvp tangent": ds,
         "confined primal": confined[0],
         "confined tangent": confined[1],
-        "isotropic": flowseg.getconv._iso_weights(z, adj, iso),
     }
     return adj, weights
 
@@ -734,7 +686,6 @@ def _layer_outputs(h, w, channels, spec, seed=30):
     z, dz = rng.normal(size=(h * w, channels)), rng.normal(size=(h * w, channels))
     params = random_layer_params(rng, channels, adj.n_slots)
     block = random_layer_params(rng, channels, 8, kernel=3)
-    iso = random_iso_params(rng, channels)
     clusters = rng.integers(0, 4, size=h * w)
     q, dq = query_messages(z, params), rng.normal(size=(h * w, adj.n_slots))
     out = [
@@ -745,7 +696,6 @@ def _layer_outputs(h, w, channels, spec, seed=30):
         *getconv_forward_jvp(z, dz, adj, params),
         getconv_forward(z, adj, params, clusters=clusters),
         *getconv_forward_jvp(z, dz, adj, params, clusters=clusters),
-        isotropic_attention_forward(z, adj, iso),
     ]
     if channels:  # an (h, w, 0) grid does not reshape to (N, 0)
         grid, dgrid = z.reshape(h, w, channels), dz.reshape(h, w, channels)

@@ -209,6 +209,23 @@ def test_stencil_sum_needs_finite_features_at_node_0():
     # an interior row only adds node 0's features where node 0 is its neighbour
     assert not np.isnan(out[~border]).any()
 
+
+@pytest.mark.parametrize(
+    "weights, feats",
+    [((1600, 7), (1600, 3)), ((1600, 8), (10, 3)), ((1600, 8), (1600,))],
+    ids=["short weight rows", "short features", "flat features"],
+)
+def test_stencil_sum_rejects_mismatched_tables_before_the_kernel(monkeypatch, weights, feats):
+    # unchecked, short weight rows were read past their buffer (0.0 in the last
+    # rows), and short features made the kernel write past the output: a segfault
+    def refuse(*args):
+        raise AssertionError("kernel reached with mismatched tables")
+
+    monkeypatch.setattr(flowseg.grid, "_csr_kernels", refuse)
+    adj = grid_adjacency(GridShape(40, 40), square(3))
+    with pytest.raises(ValueError, match=r"stencil_sum needs \(1600, 8\) weights"):
+        stencil_sum(np.ones(weights), np.ones(feats), adj)
+
 def test_stencil_sum_peak_at_an_odd_node_count_is_bounded_by_the_even_one():
     # each half adds its products straight into its own rows of the output,
     # whatever the parity of n, so the output alone sets the peak

@@ -221,6 +221,16 @@ def test_every_public_definition_has_a_caller():
     assert not missing, f"no caller in src/, perfbench/ or the entry points: {missing}"
 
 
+def test_every_oracle_has_a_caller():
+    # so that no brute-force reference outlives the code it checks
+    tests = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "tests").glob("*.py")}
+    used = set().union(*map(references, tests.values()))
+    defined = [node.name for node in tests["oracles"].body if isinstance(node, ast.FunctionDef)]
+    assert len(defined) > 20
+    missing = sorted(set(defined) - used)
+    assert not missing, f"no caller in tests/: {missing}"
+
+
 def test_every_import_is_read():
     # so that a deletion cannot leave a dead import behind; __init__.py's
     # imports are the package's exports
