@@ -39,7 +39,9 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     Each node gets one out-edge to the pixel at its own position plus its
     displacement vector, with both coordinates rounded half away from zero and
     clamped into the grid. A zero vector yields a self-loop. The messages are
-    int64 for a bool or integer energy and float64 for a floating one.
+    int64 for a bool or integer energy and float64 for a floating one; any
+    other dtype, or an integer energy with max|e| * N >= 2**63, whose messages
+    could wrap when summed, raises ``ValueError``.
 
     Each coordinate plane is built in place, and clamped before it is
     rounded: rounding to an integer never crosses the integer bounds 0 and
@@ -54,8 +56,15 @@ def build_tg(field: np.ndarray, energy: np.ndarray) -> TransmitGraph:
     if e.shape != f.shape[:2]:
         raise ValueError(f"energy shape {e.shape} does not match field {f.shape[:2]}")
     require_finite(f, "displacement field")
-    # a NaN energy would compare unequal to 0 and pass for foreground
-    require_finite(e, "energy")
+    if e.dtype.kind not in "biuf":
+        raise ValueError(f"energy must be bool, integer or float, got dtype {e.dtype}")
+    if e.dtype.kind == "f":
+        # a NaN energy would compare unequal to 0 and pass for foreground
+        require_finite(e, "energy")
+    elif e.dtype.kind != "b" and e.size and max(-int(e.min()), int(e.max())) * e.size >= 2**63:
+        # below that, no sum of int64 messages can wrap; Python ints hold
+        # uint64 values and the negated int64 minimum exactly
+        raise ValueError("integer energy too large: max|energy| * pixels must be below 2**63")
     h, w = e.shape
     tr = np.arange(h).reshape(h, 1) + f[..., 0]
     tc = np.arange(w) + f[..., 1]

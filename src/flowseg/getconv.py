@@ -205,7 +205,9 @@ def _standardize(x, dx, cls):
     """In place, per-channel zero-mean unit-variance over nodes (population
     variance, no epsilon), and its derivative along ``dx`` when given; a
     constant channel standardizes to exactly 0. Statistics are taken within
-    each cluster of ``cls``, over all rows when it is None.
+    each cluster of ``cls``, over all rows when it is None. A standard
+    deviation, or in the JVP a variance derivative, that overflows raises
+    ``ValueError`` instead of dividing its channel down to zeros.
 
     Whole clusters of one size are gathered, in (clusters, size, C) chunks of
     about ``grid._BLOCK_ENTRIES`` entries, and written back; without clusters
@@ -226,15 +228,21 @@ def _standardize(x, dx, cls):
         blocks = [b[part] for b in sized for part in _row_blocks(len(b), b.shape[1] * x.shape[1])]
     for rows in blocks:
         c = x[rows]
-        c -= c.mean(axis=1, keepdims=True)
-        t = np.square(c)
-        std = np.sqrt(t.mean(axis=1, keepdims=True))
+        # an overflow (inf, or inf - inf = NaN) is refused, not divided into
+        # zeros as c / inf would be
+        with np.errstate(over="ignore", invalid="ignore"):
+            c -= c.mean(axis=1, keepdims=True)
+            t = np.square(c)
+            std = np.sqrt(t.mean(axis=1, keepdims=True))
+        require_finite(std, "per-channel standard deviation")
         pos = std > 0
         safe = np.where(pos, std, 1.0)
         if dx is not None:
             dc = dx[rows]
-            dc -= dc.mean(axis=1, keepdims=True)
-            dvar = 2.0 * np.multiply(c, dc, out=t).mean(axis=1, keepdims=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dc -= dc.mean(axis=1, keepdims=True)
+                dvar = 2.0 * np.multiply(c, dc, out=t).mean(axis=1, keepdims=True)
+            require_finite(dvar, "per-channel variance derivative")
             # dc / safe - c * dvar / (2 safe^3), in the order of that expression
             np.multiply(c, dvar, out=t)
             t /= 2.0 * safe**3

@@ -46,6 +46,9 @@ def _grid_of_instances(shape, k):
     if k < 1:
         raise ValueError("instance count must be >= 1")
     h, w = shape
+    # a count past h * w could never fit, and np.sqrt takes no Python int past int64
+    if k > h * w:
+        raise ValueError(f"{h}x{w} too small for {k} tiled instances")
     side = int(np.ceil(np.sqrt(k)))
     if h < 3 * side or w < 3 * side:
         raise ValueError(f"{h}x{w} too small for {k} tiled instances")

@@ -120,6 +120,13 @@ def test_bad_fixture_name_exits_one(tmp_path, capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
+def test_huge_tile_count_exits_one_without_traceback(tmp_path, capsys):
+    name = "grid-of-99999999999999999999-instances"
+    assert cli(["synth", name, str(tmp_path / "g.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert "too small" in err and "Traceback" not in err
+
+
 def test_more_ids_than_a_map_holds_exits_one(tmp_path, capsys):
     energy = np.zeros((512, 512), dtype=np.int64)
     energy[::2, ::2] = 1  # 65536 isolated pixels, one id each under a zero field

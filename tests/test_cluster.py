@@ -103,6 +103,32 @@ class TestBuildTg:
         with pytest.raises(ValueError):
             build_tg(np.zeros((3, 3)), np.ones((3, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [complex, object, "U1", "datetime64[s]"])
+    def test_rejects_an_energy_that_is_not_bool_integer_or_float(self, dtype):
+        # a complex energy would lose its imaginary part to the int64 cast
+        with pytest.raises(ValueError, match="bool, integer or float"):
+            build_tg(np.zeros((2, 2, 2)), np.ones((2, 2)).astype(dtype))
+
+    def test_rejects_a_uint64_energy_whose_messages_would_wrap(self):
+        # both vectors land on pixel 0, where 2**63 + 2**63 wraps to 0 in
+        # int64: no seed would survive although the energy is nonzero
+        field = np.array([[[0.0, 0.0], [0.0, -1.0]]])
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            gcm(field, np.array([[2**63, 2**63]], np.uint64))
+
+    @pytest.mark.parametrize(
+        "value", [2**61 - 1, 2**61, -(2**61), np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    )
+    def test_integer_energy_bound_is_max_abs_times_pixels(self, value):
+        # four pixels all landing on pixel 0: one message sums all of them
+        field = landing_field(2, 2, np.zeros((2, 2)), np.zeros((2, 2)))
+        energy = np.full((2, 2), value, dtype=np.int64)
+        if abs(int(value)) * 4 >= 2**63:
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                build_tg(field, energy)
+        else:
+            assert int(contract(build_tg(field, energy), 1).mes[0]) == 4 * int(value)
+
 
 def rounded_targets(field):
     """The landing targets by the plain formula: ``copysign(floor(|x| + 0.5),

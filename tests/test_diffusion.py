@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +22,28 @@ from oracles import gt_displacement_naive, random_label_map
 ROUNDTRIP_FIXTURES = ("random-voronoi", "two-blobs-adherent", "concave-horseshoe")
 
 
+def joined_operator(lab, radius):
+    """``(indptr, indices)`` of the whole same-label matrix: the bands of
+    ``_same_label_operator``, checked to tile its rows in order, joined."""
+    bands = _same_label_operator(lab, radius)
+    bounds = [(a, b) for a, b, _, _ in bands]
+    assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+    assert bounds[-1][1] == lab.size
+    for a, b, indptr, indices in bands:
+        assert len(indptr) == b - a + 1 and indptr[0] == 0 and indptr[-1] == indices.size
+    counts = np.concatenate([np.diff(indptr) for _, _, indptr, _ in bands])
+    return np.r_[0, np.cumsum(counts)], np.concatenate([indices for *_, indices in bands])
+
+
 def serial_gt_displacement(lab, radius, iters):
     """gt_displacement's iteration with both planes on the calling thread, one
-    after the other, through scipy's public ``csr_array @``: the
-    single-threaded reference for bit equality."""
+    after the other, through scipy's public ``csr_array @`` on the joined
+    bands: the single-threaded, single-band reference for bit equality."""
     shape = GridShape(*lab.shape)
-    indptr, indices, data = _same_label_operator(lab, radius)
-    op = sparse.csr_array((data, indices, indptr), shape=(shape.n_nodes, shape.n_nodes))
+    indptr, indices = joined_operator(lab, radius)
+    op = sparse.csr_array(
+        (np.ones(indices.size), indices, indptr), shape=(shape.n_nodes, shape.n_nodes)
+    )
     count = op.sum(axis=1)
     movable = count > 0
     denom = np.maximum(count, 1.0)
@@ -106,6 +122,23 @@ class TestGtDisplacement:
             want = gt_displacement_naive(labels, radius, iters)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("entries", [1, 700])
+    def test_bands_of_any_size_are_bit_identical_to_naive_oracle(self, monkeypatch, entries):
+        # at 23x29 a 700-entry band holds 4 image rows of disk(1)'s 5 columns
+        # (the last band 3) and one row of disk(3)'s 29 or disk(5)'s 81; a
+        # 1-entry band is always one row
+        monkeypatch.setattr(flowseg.diffusion, "_BAND_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        for radius in (1, 3, 5):
+            labels = random_label_map(rng, 23, 29)
+            isolated = rng.random(labels.shape) < 0.05
+            labels[isolated] = 100 + np.arange(isolated.sum())  # labels used once
+            heights = [(b - a) // 29 for a, b, _, _ in _same_label_operator(labels, radius)]
+            one_row = entries == 1 or radius > 1
+            assert heights == ([1] * 23 if one_row else [4] * 5 + [3])
+            got = gt_displacement(labels, radius=radius, iters=8)
+            np.testing.assert_array_equal(got, gt_displacement_naive(labels, radius, 8))
+
     @pytest.mark.parametrize("name", ROUNDTRIP_FIXTURES)
     def test_two_threads_bit_identical_to_serial_at_64(self, name):
         # at 64x64 with 96 rounds the two planes overlap in time
@@ -174,11 +207,10 @@ class TestGtDisplacement:
         scattered[isolated] = 100 + np.arange(isolated.sum())  # labels used once
         offsets = stencil_offsets(disk(radius))
         for lab in (scattered, synth("two-squares-separated", (24, 24), seed=1)):
-            indptr, indices, data = _same_label_operator(lab, radius)
+            indptr, indices = joined_operator(lab, radius)
             h, w = lab.shape
             assert np.diff(indptr).min() >= 1
             assert np.diff(indptr).max() <= len(offsets)
-            np.testing.assert_array_equal(data, 1.0)
             for i, (r, c) in enumerate(np.ndindex(h, w)):
                 row = indices[indptr[i] : indptr[i + 1]].tolist()
                 nbrs = [
@@ -190,6 +222,20 @@ class TestGtDisplacement:
                 assert row == (nbrs or [i]), (r, c)
             assert np.diff(indptr).max() > 1  # some rows can move
         assert isolated.any()  # and some labelled ones cannot
+
+    def test_synthesis_peak_per_pixel(self):
+        # the operator's indices, 4 B for each of about 66 entries per pixel,
+        # and the planes' buffers stay; each band's column table, about 1 MB,
+        # goes before the next one is built, and there is no data array
+        labels = synth("random-voronoi", (256, 256), seed=1)
+        gt_displacement(labels[:16, :16], radius=5, iters=2)  # the kernels' first load stays out
+        tracemalloc.start()
+        try:
+            gt_displacement(labels, radius=5, iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 450 * labels.size
 
     def test_csr_index_dtype_never_wraps(self):
         slots = len(stencil_offsets(disk(5)))  # 80

@@ -674,6 +674,37 @@ def test_plain_normalization_peak_is_its_squares_alone(jvp):
     assert peak - x.nbytes - np.getbufsize() * x.itemsize < 0.01 * x.nbytes
 
 
+class TestNormalizationOverflow:
+    """A channel whose squared deviations overflow must raise, not standardize
+    to c / inf = 0."""
+
+    @pytest.mark.parametrize("jvp", [False, True], ids=["forward", "jvp"])
+    @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
+    def test_an_infinite_std_raises(self, jvp, clustered):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(48, 3))
+        x[:, 1] *= 1e155
+        dx = rng.normal(size=x.shape) if jvp else None
+        cls = np.arange(48) // 16 if clustered else None
+        with pytest.raises(ValueError, match="standard deviation must be finite"):
+            flowseg.getconv._standardize(x, dx, cls)
+
+    def test_an_infinite_variance_derivative_raises(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(48, 3)) * 1e10
+        dx = rng.normal(size=x.shape) * 1e300
+        with pytest.raises(ValueError, match="variance derivative must be finite"):
+            flowseg.getconv._standardize(x, dx, None)
+
+    def test_a_large_finite_std_standardizes_as_the_unscaled_one(self):
+        rng = np.random.default_rng(33)
+        y = rng.normal(size=(48, 3))
+        big, small = y * 1e150, y.copy()
+        for x in (big, small):
+            flowseg.getconv._standardize(x, None, None)
+        np.testing.assert_allclose(big, small, rtol=0, atol=1e-14)
+
+
 def _serial(fn, blocks):
     for block in blocks:
         fn(block)

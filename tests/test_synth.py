@@ -107,3 +107,9 @@ def test_grid_of_no_instances_rejected():
 def test_grid_too_small_for_its_tiles_rejected():
     with pytest.raises(ValueError, match="too small for 9 tiled instances"):
         synth("grid-of-9-instances", (8, 8))
+
+
+def test_a_tile_count_past_int64_raises_value_error():
+    # np.sqrt of a Python int past int64 raises TypeError
+    with pytest.raises(ValueError, match="too small"):
+        synth("grid-of-99999999999999999999-instances", (8, 8), 0)
