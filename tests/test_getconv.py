@@ -152,6 +152,27 @@ class TestDiffusivity:
         s = diffusivity(np.full((2, 8), 100.0), adj)
         np.testing.assert_array_equal(s[adj.valid], np.exp(30.0))
 
+    @pytest.mark.parametrize(
+        "relaid",
+        [
+            np.asfortranarray,
+            lambda x: np.ascontiguousarray(x.T).T,
+            lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+        ],
+        ids=["fortran", "transposed", "strided"],
+    )
+    def test_any_memory_layout_gives_the_c_ordered_weights(self, relaid):
+        # the weights gather from a flat index into the queries, which must
+        # mean the C-ordered table whatever the caller's layout
+        rng = np.random.default_rng(34)
+        adj = grid_adjacency(GridShape(7, 9), disk(2))  # N odd
+        q, dq = (rng.normal(scale=10.0, size=adj.nbr_safe.shape) for _ in range(2))
+        assert not relaid(q).flags.c_contiguous
+        want = [diffusivity(q, adj), *diffusivity_jvp(q, dq, adj)]
+        got = [diffusivity(relaid(q), adj), *diffusivity_jvp(relaid(q), relaid(dq), adj)]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
 
 class TestGetconvForward:
     def test_fully_masked_is_identity(self):
@@ -618,6 +639,24 @@ def test_layer_peak_memory_in_edge_table_units(jvp, bound):
     assert peak <= bound * z.shape[0] * adj.n_slots * 8
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_diffusivity_peak_on_a_non_contiguous_table_is_one_copy(layout):
+    # a flat np.take of a table that is not C-ordered first copies the whole
+    # table; diffusivity copies it once, so the peak is that copy and the
+    # output, where a copy per block read 3.06 units here (one per thread)
+    rng = np.random.default_rng(35)
+    adj = grid_adjacency(GridShape(128, 128), disk(5))
+    q = rng.normal(size=adj.nbr_safe.shape)
+    q = np.asfortranarray(q) if layout == "fortran" else np.ascontiguousarray(q.T).T
+    tracemalloc.start()
+    try:
+        diffusivity(q, adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * q.nbytes
+
+
 def test_masked_layer_peak_stays_within_the_plain_one(monkeypatch):
     # 5x5 tiles are almost all of one size; gathered as one block, they used
     # to push the masked peak past the plain one (12.77 against 9.07 edge-table
@@ -695,6 +734,30 @@ class TestNormalizationOverflow:
         dx = rng.normal(size=x.shape) * 1e300
         with pytest.raises(ValueError, match="variance derivative must be finite"):
             flowseg.getconv._standardize(x, dx, None)
+
+    @pytest.mark.parametrize(
+        "scale, tangent_scale",
+        [(1e110, 1e110), (1e10, 1e296), (1e-10, 1e300)],
+        ids=["cubed std", "c * dvar", "dc / std"],
+    )
+    @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
+    def test_an_overflowing_tangent_raises(self, scale, tangent_scale, clustered):
+        # past a std of about 5.6e102 its cube overflows, and c * dvar or dc /
+        # std can with a finite std too; each used to give NaN or inf tangents
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(48, 3)) * scale
+        dx = rng.normal(size=x.shape) * tangent_scale
+        cls = np.arange(48) // 16 if clustered else None
+        with pytest.raises(ValueError, match="standardized tangent must be finite"):
+            flowseg.getconv._standardize(x, dx, cls)
+
+    def test_a_large_finite_tangent_standardizes_as_the_unscaled_one(self):
+        rng = np.random.default_rng(37)
+        y, dy = rng.normal(size=(48, 3)), rng.normal(size=(48, 3))
+        big, small = (y * 1e100, dy * 1e100), (y.copy(), dy.copy())
+        for x, dx in (big, small):
+            flowseg.getconv._standardize(x, dx, None)
+        np.testing.assert_allclose(big[1], small[1], rtol=0, atol=1e-13)
 
     def test_a_large_finite_std_standardizes_as_the_unscaled_one(self):
         rng = np.random.default_rng(33)
@@ -822,6 +885,49 @@ def test_queries_are_whole_array_products():
     np.testing.assert_array_equal(q, np.maximum(pre, 0.0) @ params.w2 + params.b2)
     np.testing.assert_array_equal(dq, np.where(pre > 0, dz @ params.w1, 0.0) @ params.w2)
     np.testing.assert_array_equal(query_messages(z, params), q)
+
+
+class _RecordingW2(np.ndarray):
+    """A w2 that keeps, with the output array, a copy of the left operand of
+    every product it is the right operand of."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.lefts.append((kwargs["out"][0], inputs[0].copy()))
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+def test_tangent_mask_writes_the_bits_copyto_writes(monkeypatch):
+    # where pre > 0 the mask keeps every bit of dz @ w1, inf and -0.0 too;
+    # elsewhere, a NaN pre included, it writes +0.0; dpre * (pre > 0) would
+    # write inf * 0 = NaN instead
+    monkeypatch.setattr(flowseg.getconv, "_on_two_threads", _serial)  # errstate is per thread
+    rng = np.random.default_rng(38)
+    n, c = 64, 4
+    z = rng.normal(size=(n, c))
+    z[0] = 0.0  # pre == 0
+    z[1, :2] = np.inf, -np.inf  # pre NaN
+    dz = rng.normal(size=(n, c))
+    dz[0::4] = [np.inf, 0.0, 0.0, 0.0]
+    dz[1::4] = [-np.inf, 0.0, 0.0, 0.0]
+    # every w1 entry is positive and tiny, so each product here underflows to -0.0
+    dz[2::4] = -1e-200 * (1.0 + rng.random(size=(n // 4, c)))
+    w1 = 1e-200 * (1.0 + rng.random(size=(c, c)))
+    w2 = rng.normal(size=(c, 8)).view(_RecordingW2)
+    w2.lefts = []
+    params = LayerParams(w1, np.zeros(c), w2, np.zeros(8), np.ones(c), np.zeros(c))
+    with np.errstate(all="ignore"):
+        pre, raw = z @ w1, dz @ w1
+        pre += params.b1
+        _, dq = flowseg.getconv._query(z, dz, params)
+    [dpre] = [left for out, left in w2.lefts if out is dq]
+    up = pre > 0
+    neg_zero = (raw == 0.0) & np.signbit(raw)
+    for held in (raw == np.inf, raw == -np.inf, neg_zero):
+        assert (held & up).any() and (held & ~up).any()
+    assert np.isnan(pre).any()
+    want = raw.copy()
+    np.copyto(want, 0.0, where=~up)
+    np.testing.assert_array_equal(dpre.view(np.uint64), want.view(np.uint64))
 
 
 def test_layer_reentrant_from_two_threads():
