@@ -26,7 +26,7 @@ from .getconv import (
     getconv_forward_jvp,
     random_layer_params,
 )
-from .grid import GridShape, grid_adjacency, nid, square
+from .grid import GridShape, grid_adjacency, square
 
 # op -> (forward, jvp), called as forward(x, *args) and jvp(x, tangent, *args)
 _OPS = {
@@ -52,15 +52,15 @@ def isomorphism_probe(
     """Compare the layer with and without slot-indexed queries on two nodes
     with permuted but equal neighborhoods.
 
-    On a 3x7 grid with the 3x3 stencil, node A at (1, 1) sees feature u on its
-    left and v on its right; node B at (1, 5) sees v on its left and u on its
-    right. Every other feature (including A's and B's own) is zero, so the
-    neighbor feature multisets of A and B are identical and differ only in
-    spatial arrangement. The anisotropic layer runs with parameters drawn from
-    ``seed``; the isotropic contrast is that layer with every slot's query
-    tied to the first column (``w2`` and ``b2`` repeated), so it draws nothing
-    more. The report carries the max-abs output difference between A and B
-    for each.
+    On a 3x7 grid of (3, 7, C) features with the 3x3 stencil, node A at (1, 1)
+    sees feature u on its left and v on its right; node B at (1, 5) sees v on
+    its left and u on its right. Every other feature (including A's and B's
+    own) is zero, so the neighbor feature multisets of A and B are identical
+    and differ only in spatial arrangement. The anisotropic layer runs with
+    parameters drawn from ``seed``; the isotropic contrast is that layer with
+    every slot's query tied to the first column (``w2`` and ``b2`` repeated),
+    so it draws nothing more. The report carries the max-abs output
+    difference between A and B for each.
 
     Tied, node i emits one query g(z_i) in every slot, and the weight of edge
     (i, j) is ``exp(g(z_i) + g(z_j))``, a function of the endpoints alone. A
@@ -70,34 +70,22 @@ def isomorphism_probe(
     whenever u != v.
     """
     rng = np.random.default_rng(seed)
-    shape = GridShape(3, 7)
-    spec = square(3)
-    adj = grid_adjacency(shape, spec)
-    if u is None:
-        u = rng.normal(size=CHANNELS)
-    if v is None:
-        v = rng.normal(size=CHANNELS)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-
-    feats = np.zeros((shape.n_nodes, CHANNELS))
-    node_a = nid((1, 1), shape)
-    node_b = nid((1, 5), shape)
-    feats[nid((1, 0), shape)] = u
-    feats[nid((1, 2), shape)] = v
-    feats[nid((1, 4), shape)] = v
-    feats[nid((1, 6), shape)] = u
+    adj = grid_adjacency(GridShape(3, 7), square(3))
+    u = rng.normal(size=CHANNELS) if u is None else u
+    v = rng.normal(size=CHANNELS) if v is None else v
+    feats = np.zeros((3, 7, CHANNELS))
+    feats[1, [0, 6]], feats[1, [2, 4]] = u, v
 
     n = adj.n_slots
     params = random_layer_params(rng, CHANNELS, n)
     tied = replace(
         params, w2=np.repeat(params.w2[:, :1], n, axis=1), b2=np.full(n, params.b2[0])
     )
-    aniso = getconv_forward(feats, adj, params)
-    iso = getconv_forward(feats, adj, tied)
+    flat = feats.reshape(-1, CHANNELS)
+    aniso, iso = (getconv_forward(flat, adj, p).reshape(feats.shape) for p in (params, tied))
     return ProbeReport(
-        anisotropic_gap=float(np.abs(aniso[node_a] - aniso[node_b]).max()),
-        isotropic_gap=float(np.abs(iso[node_a] - iso[node_b]).max()),
+        anisotropic_gap=float(np.abs(aniso[1, 1] - aniso[1, 5]).max()),
+        isotropic_gap=float(np.abs(iso[1, 1] - iso[1, 5]).max()),
     )
 
 

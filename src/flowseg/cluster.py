@@ -117,11 +117,9 @@ def connected_components(mes: np.ndarray, shape: GridShape) -> np.ndarray:
     # a NaN or inf message would compare unequal to 0 and pass for a seed
     require_finite(m, "message")
     fg = m.reshape(shape.h, shape.w) != 0
-    padded = np.zeros((shape.h, shape.w + 2), dtype=np.int8)
-    padded[:, 1:-1] = fg
     # +1 where a run starts, -1 one past where it ends, keyed row * (w + 1) + col;
     # both key lists come out sorted, so runs are numbered in raster order
-    step = np.diff(padded, axis=1).ravel()
+    step = np.diff(fg.view(np.int8), axis=1, prepend=0, append=0).ravel()
     starts = np.flatnonzero(step == 1)
     ends = np.flatnonzero(step == -1)
     # the runs of the row above that touch columns start - 1 .. end form the

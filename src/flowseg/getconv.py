@@ -219,11 +219,11 @@ def _confine(s, ds, clusters, adj):
 def _standardize(x, dx, cls):
     """In place, per-channel zero-mean unit-variance over nodes (population
     variance, no epsilon), and its derivative along ``dx`` when given; a
-    constant channel standardizes to exactly 0. Statistics are taken within
-    each cluster of ``cls``, over all rows when it is None. A standard
-    deviation, or in the JVP a variance derivative or a tangent, that
-    overflows raises ``ValueError`` instead of dividing its channel down to
-    zeros or coming out as NaN.
+    constant channel standardizes to exactly 0, value and tangent, even where
+    its mean rounds. Statistics are taken within each cluster of ``cls``, over
+    all rows when it is None. A standard deviation, or in the JVP a variance
+    derivative or a tangent, that overflows raises ``ValueError`` instead of
+    dividing its channel down to zeros or coming out as NaN.
 
     Whole clusters of one size are gathered, in (clusters, size, C) chunks of
     about ``grid._BLOCK_ENTRIES`` entries, and written back; without clusters
@@ -247,9 +247,14 @@ def _standardize(x, dx, cls):
         # an overflow (inf, or inf - inf = NaN) is refused, not divided into
         # zeros as c / inf would be
         with np.errstate(over="ignore", invalid="ignore"):
-            c -= c.mean(axis=1, keepdims=True)
+            mean = c.mean(axis=1, keepdims=True)
+            c -= mean
             t = np.square(c)
             std = np.sqrt(t.mean(axis=1, keepdims=True))
+        # a constant channel centres to its rounded mean's residue, of std up to
+        # about n eps |mean| (inf once squared past 1e154), but max == min there
+        if ((std <= 4 * c.shape[1] * np.finfo(float).eps * np.abs(mean)) | (std == np.inf)).any():
+            std[c.max(axis=1, keepdims=True) == c.min(axis=1, keepdims=True)] = 0.0
         require_finite(std, "per-channel standard deviation")
         pos = std > 0
         safe = np.where(pos, std, 1.0)

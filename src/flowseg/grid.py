@@ -17,7 +17,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-import importlib.machinery
+import importlib.machinery as machinery
 import importlib.util
 import os
 import threading
@@ -70,14 +70,6 @@ def disk(radius: int) -> NeighborhoodSpec:
     return NeighborhoodSpec("disk", radius)
 
 
-def nid(coord: tuple[int, int], shape: GridShape) -> int:
-    """Row-major node id of a pixel coordinate; raises on out-of-grid input."""
-    row, col = coord
-    if not (0 <= row < shape.h and 0 <= col < shape.w):
-        raise ValueError(f"coordinate {(row, col)} outside {shape.h}x{shape.w} grid")
-    return row * shape.w + col
-
-
 def require_finite(x: np.ndarray, what: str) -> np.ndarray:
     """``x`` itself, if every entry is finite; else a ValueError naming ``what``."""
     # min and max carry any NaN or inf without a temporary the size of x; an
@@ -115,12 +107,29 @@ class GridAdjacency:
     ``valid[i, c]``, and 0 where that offset leaves the grid. In the CSR index
     dtype, it is the column table of :func:`stencil_sum`'s operator, unmasked.
     For a valid slot with j = nbr_safe[i, c], ``nbr_safe[j, recip[c]] == i``.
+    Construction checks dtypes, shapes and id ranges (not the wiring), so that
+    no table sends the kernel past a buffer or wraps a gather: ``ValueError``.
     """
 
     shape: GridShape
     nbr_safe: np.ndarray
     valid: np.ndarray
     recip: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, table, recip = self.shape.n_nodes, self.nbr_safe, self.recip
+        if table.ndim != 2 or len(table) != n or table.dtype not in (np.int32, np.int64):
+            raise ValueError(f"nbr_safe must be an int32 or int64 ({n}, n_slots) table")
+        k = self.n_slots
+        if n * k > np.iinfo(table.dtype).max:
+            raise ValueError(f"{n} x {k} row pointers overflow {table.dtype}")
+        if table.size and not 0 <= table.min() <= table.max() < n:
+            raise ValueError(f"nbr_safe ids must lie in [0, {n})")
+        if self.valid.dtype != bool or self.valid.shape != table.shape:
+            raise ValueError(f"valid must be a bool table of shape {table.shape}")
+        wrong = recip.shape != (k,) or recip.dtype.kind not in "iu"
+        if wrong or k and not 0 <= recip.min() <= recip.max() < k:
+            raise ValueError(f"recip must hold {k} ids in [0, {k})")
 
     @property
     def n_slots(self) -> int:
@@ -200,21 +209,20 @@ def _csr_kernels():
     """scipy's compiled CSR kernels, ``scipy.sparse._sparsetools``, loaded from
     their extension file alone: ``import scipy.sparse`` would run the whole
     package (about 0.15 s) for a file that loads in about 1 ms. ``find_spec``
-    finds scipy without running its ``__init__``. The module is registered
-    under its own name, so a later ``import scipy.sparse`` uses this one."""
-    name = "scipy.sparse._sparsetools"
+    finds scipy without running its ``__init__``, and a ``FileFinder`` the file
+    by the extension suffixes. The module is registered under its own name, so
+    a later ``import scipy.sparse`` uses this one."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("scipy is not installed; flowseg needs its CSR kernels")
     folder = os.path.join(spec.submodule_search_locations[0], "sparse")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_sparsetools" + suffix)
-        if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            return module
-    raise ImportError(f"no _sparsetools extension file for scipy's CSR kernels in {folder}")
+    extensions = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    found = machinery.FileFinder(folder, extensions).find_spec("scipy.sparse._sparsetools")
+    if found is None:
+        raise ImportError(f"no _sparsetools extension file for scipy's CSR kernels in {folder}")
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module
 
 
 def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> np.ndarray:

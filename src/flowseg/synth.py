@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -46,10 +47,8 @@ def _grid_of_instances(shape, k):
     if k < 1:
         raise ValueError("instance count must be >= 1")
     h, w = shape
-    # a count past h * w could never fit, and np.sqrt takes no Python int past int64
-    if k > h * w:
-        raise ValueError(f"{h}x{w} too small for {k} tiled instances")
-    side = int(np.ceil(np.sqrt(k)))
+    # ceil(sqrt(k)), exact for any Python int, where np.sqrt takes none past int64
+    side = math.isqrt(k - 1) + 1
     if h < 3 * side or w < 3 * side:
         raise ValueError(f"{h}x{w} too small for {k} tiled instances")
     row_edges = np.linspace(0, h, side + 1).astype(int)

@@ -768,6 +768,40 @@ class TestNormalizationOverflow:
         np.testing.assert_allclose(big, small, rtol=0, atol=1e-14)
 
 
+class TestConstantChannel:
+    """A constant channel standardizes to exactly 0, value and tangent, even
+    where its mean rounds and leaves a uniform residue of std above 0."""
+
+    def test_a_constant_cluster_channel_leaves_the_residual_and_bias(self):
+        # tied queries give every edge of the 3-node cluster one weight, so each
+        # channel aggregates to one value there; 0.1 + 0.1 + 0.1 rounds, and
+        # channel 3 used to standardize to -1.0
+        adj = grid_adjacency(GridShape(2, 2), square(3))
+        n = adj.n_slots
+        params = random_layer_params(np.random.default_rng(0), 4, n)
+        tied = dataclasses.replace(
+            params, w2=np.repeat(params.w2[:, :1], n, axis=1), b2=np.full(n, params.b2[0])
+        )
+        feats = np.tile([0.1, 0.7, -0.3, 1.3], (4, 1))
+        out = getconv_forward(feats, adj, tied, clusters=np.array([0, 0, 0, 1]))
+        np.testing.assert_array_equal(out, feats + tied.beta)
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, -7e300])
+    @pytest.mark.parametrize("jvp", [False, True], ids=["forward", "jvp"])
+    @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
+    def test_standardizes_to_zero_at_every_row_count(self, value, jvp, clustered):
+        # at 13 rows and more, -7e300's residue squares past the float range
+        rng = np.random.default_rng(38)
+        for rows in (3, 4, 6, 10, 13, 100, 999, 12345, 10**5):
+            x = np.column_stack([np.full(rows, value), rng.normal(size=rows)])
+            dx = rng.normal(size=x.shape) if jvp else None
+            flowseg.getconv._standardize(x, dx, np.zeros(rows, int) if clustered else None)
+            assert not x[:, 0].any(), rows
+            assert np.abs(x[:, 1]).max() > 0.5
+            if jvp:
+                assert not dx[:, 0].any(), rows
+
+
 def _serial(fn, blocks):
     for block in blocks:
         fn(block)

@@ -3,6 +3,8 @@ import importlib.machinery
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +20,6 @@ from flowseg.grid import (
     _csr_kernels,
     disk,
     grid_adjacency,
-    nid,
     square,
     stencil_offsets,
     stencil_sum,
@@ -48,19 +49,6 @@ def table_neighbors(adj, node):
     return list(zip(slots.tolist(), adj.nbr_safe[node, slots].tolist()))
 
 
-def test_nid_examples():
-    assert nid((0, 0), GridShape(5, 4)) == 0
-    assert nid((1, 2), GridShape(5, 4)) == 6
-    assert nid((4, 3), GridShape(5, 4)) == 19
-
-
-def test_nid_rejects_out_of_grid():
-    shape = GridShape(3, 3)
-    for bad in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
-        with pytest.raises(ValueError):
-            nid(bad, shape)
-
-
 def test_shape_validation():
     with pytest.raises(ValueError):
         GridShape(0, 4)
@@ -72,24 +60,6 @@ def test_shape_validation():
         square(-3)
     with pytest.raises(ValueError, match="unknown stencil kind"):
         NeighborhoodSpec("ring", 3)
-
-
-def test_nid_bijection_exhaustive():
-    shape = GridShape(5, 7)
-    seen = set()
-    for r in range(shape.h):
-        for c in range(shape.w):
-            i = nid((r, c), shape)
-            assert divmod(i, shape.w) == (r, c)
-            seen.add(i)
-    assert seen == set(range(shape.n_nodes))
-
-
-@given(small_shapes, st.data())
-def test_nid_roundtrip(shape, data):
-    r = data.draw(st.integers(0, shape.h - 1))
-    c = data.draw(st.integers(0, shape.w - 1))
-    assert divmod(nid((r, c), shape), shape.w) == (r, c)
 
 
 def test_stencil_counts():
@@ -120,7 +90,7 @@ def test_reciprocal_slots_are_opposites(spec):
 def test_neighbors_interior_full_stencil():
     shape = GridShape(5, 5)
     adj = grid_adjacency(shape, square(3))
-    i = nid((2, 2), shape)
+    i = 2 * shape.w + 2
     assert adj.valid[i].all()
     assert adj.nbr_safe[i].tolist() == [6, 7, 8, 11, 13, 16, 17, 18]
 
@@ -134,7 +104,7 @@ def test_neighbors_corner_keeps_slot_indices():
 
 def test_disk_interior_neighbor_count():
     shape = GridShape(64, 96)
-    assert grid_adjacency(shape, disk(4)).valid[nid((32, 48), shape)].sum() == 48
+    assert grid_adjacency(shape, disk(4)).valid[32 * shape.w + 48].sum() == 48
 
 
 @given(small_shapes, specs)
@@ -225,6 +195,63 @@ def test_stencil_sum_rejects_mismatched_tables_before_the_kernel(monkeypatch, we
     adj = grid_adjacency(GridShape(40, 40), square(3))
     with pytest.raises(ValueError, match=r"stencil_sum needs \(1600, 8\) weights"):
         stencil_sum(np.ones(weights), np.ones(feats), adj)
+
+
+# unchecked, ids past N sent the kernel reading far outside the features: the
+# process died by signal 11, so the call runs in a child process
+OUT_OF_RANGE_TABLE = """
+import dataclasses
+import numpy as np
+from flowseg.grid import GridShape, grid_adjacency, square, stencil_sum
+adj = grid_adjacency(GridShape(64, 64), square(3))
+bad = dataclasses.replace(adj, nbr_safe=adj.nbr_safe + np.int32(10**8))
+stencil_sum(adj.valid.astype(np.float64), np.ones((adj.shape.n_nodes, 1)), bad)
+"""
+
+
+def test_out_of_range_neighbour_table_raises_before_the_kernel():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_RANGE_TABLE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "ValueError: nbr_safe ids must lie in [0, 4096)", proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("nbr_safe", lambda a: a.nbr_safe - np.int32(1), r"ids must lie in \[0, 20\)"),
+        ("nbr_safe", lambda a: a.nbr_safe.astype(np.float64), "int32 or int64"),
+        ("nbr_safe", lambda a: a.nbr_safe.astype(np.int16), "int32 or int64"),
+        ("nbr_safe", lambda a: a.nbr_safe[:-1], "int32 or int64"),
+        ("nbr_safe", lambda a: a.nbr_safe.ravel(), "int32 or int64"),
+        ("valid", lambda a: a.valid.astype(np.int8), "bool table"),
+        ("valid", lambda a: a.valid[:, :-1], "bool table"),
+        ("recip", lambda a: a.recip + 1, r"8 ids in \[0, 8\)"),
+        ("recip", lambda a: a.recip - 1, r"8 ids in \[0, 8\)"),
+        ("recip", lambda a: a.recip[:-1], r"8 ids in \[0, 8\)"),
+        ("recip", lambda a: a.recip.astype(np.float64), r"8 ids in \[0, 8\)"),
+    ],
+)
+def test_adjacency_refuses_tables_out_of_range(field, value, match):
+    adj = grid_adjacency(GridShape(4, 5), square(3))
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(adj, **{field: value(adj)})
+
+
+def test_adjacency_refuses_row_pointers_past_int32():
+    # 2**31 row pointers at 2**28 nodes of 8 slots, in broadcast views of one row
+    shape = GridShape(2**14, 2**14)
+    table = np.broadcast_to(np.zeros((1, 8), np.int32), (shape.n_nodes, 8))
+    valid = np.broadcast_to(np.zeros((1, 8), bool), table.shape)
+    with pytest.raises(ValueError, match="row pointers overflow int32"):
+        flowseg.grid.GridAdjacency(shape, table, valid, np.arange(8))
+
 
 def test_stencil_sum_peak_at_an_odd_node_count_is_bounded_by_the_even_one():
     # each half adds its products straight into its own rows of the output,
