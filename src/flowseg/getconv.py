@@ -25,10 +25,11 @@ before the threads start, so no sum crosses a block or a thread. A block
 gathers its reciprocal queries by one flat ``np.take`` of the C-ordered table
 (another layout would be copied whole per block), in ``"wrap"`` mode, which
 never wraps but, unlike the default, writes into the block's rows unbuffered.
-The tangent's ReLU mask multiplies each entry's bits by 0 or 1, as a masked
-copy writes them, inf included, where a float product makes inf * 0 NaN. The
-query perceptron's BLAS products are never split, since BLAS picks its kernel
-by the matrix sizes; in a JVP, the tangent's products run beside the primal's.
+The tangent's ReLU mask and the edge weights' masks multiply each entry's bits
+by 0 or 1, as a masked copy writes them, inf included, where a float product
+makes inf * 0 NaN. The query perceptron's BLAS products are never split, since
+BLAS picks its kernel by the matrix sizes; in a JVP, the tangent's products run
+beside the primal's.
 Normalization and the residual stay on the calling thread: they are bound by
 memory traffic, and a mean split by rows would sum in another order. Under
 clusters, each cluster's mean is summed over its own rows in row order, as if
@@ -140,14 +141,15 @@ def _edge_weights(e, de, valid):
     """In place on a block of rows: ``e`` to ``exp(min(e, EXP_CLAMP))``, and
     ``de``, when given, to the derivative along it, 0 on the clamp; both
     exactly +0.0 off the grid (``~valid``), as :func:`stencil_sum` needs."""
-    off = ~valid
     np.minimum(e, EXP_CLAMP, out=e)
     if de is not None:
-        # zeroed before the product, so that no clamped slot can overflow
-        de[e == EXP_CLAMP] = 0.0
-        de[off] = 0.0
+        # zeroed before the product, so that no clamped slot can overflow; after
+        # the minimum, e < EXP_CLAMP is e != EXP_CLAMP: finite queries sum to no NaN
+        bits = de.view(np.uint64)
+        np.multiply(bits, (e < EXP_CLAMP) & valid, out=bits)
     np.exp(e, out=e)
-    e[off] = 0.0
+    bits = e.view(np.uint64)
+    np.multiply(bits, valid, out=bits)
     if de is not None:
         de *= e
 
@@ -218,12 +220,13 @@ def _confine(s, ds, clusters, adj):
 
 def _standardize(x, dx, cls):
     """In place, per-channel zero-mean unit-variance over nodes (population
-    variance, no epsilon), and its derivative along ``dx`` when given; a
-    constant channel standardizes to exactly 0, value and tangent, even where
-    its mean rounds. Statistics are taken within each cluster of ``cls``, over
-    all rows when it is None. A standard deviation, or in the JVP a variance
-    derivative or a tangent, that overflows raises ``ValueError`` instead of
-    dividing its channel down to zeros or coming out as NaN.
+    variance, no epsilon), and its derivative along ``dx`` when given, taken
+    through the output y: ``(dc - y * mean(y * dc)) / std`` for the centred
+    tangent dc. A constant channel standardizes to exactly 0, value and tangent
+    (for any finite tangent), even where its mean rounds. Statistics are taken
+    within each cluster of ``cls``, over all rows when it is None. A standard
+    deviation, or in the JVP a tangent, that overflows raises ``ValueError``
+    instead of dividing its channel down to zeros or coming out as NaN.
 
     Whole clusters of one size are gathered, in (clusters, size, C) chunks of
     about ``grid._BLOCK_ENTRIES`` entries, and written back; without clusters
@@ -258,24 +261,18 @@ def _standardize(x, dx, cls):
         require_finite(std, "per-channel standard deviation")
         pos = std > 0
         safe = np.where(pos, std, 1.0)
-        if dx is not None:
-            dc = dx[rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                dc -= dc.mean(axis=1, keepdims=True)
-                dvar = 2.0 * np.multiply(c, dc, out=t).mean(axis=1, keepdims=True)
-            require_finite(dvar, "per-channel variance derivative")
-            # dc / safe - c * dvar / (2 safe^3), in the order of that expression;
-            # past a std of about 5.6e102 safe^3 overflows, and c * dvar or a
-            # quotient can with a finite std too: a NaN or inf is refused
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                np.multiply(c, dvar, out=t)
-                t /= 2.0 * safe**3
-                dc /= safe
-                dc -= t
-            np.copyto(dc, 0.0, where=~pos)
-            dx[rows] = require_finite(dc, "standardized tangent")
         c /= safe
         np.copyto(c, 0.0, where=~pos)
+        if dx is not None:
+            dc = dx[rows]
+            # (dc - y * mean(y * dc)) / std for the centred dc and the output y,
+            # which is O(1): a NaN or inf here is an overflow of the tangent itself
+            with np.errstate(over="ignore", invalid="ignore"):
+                dc -= dc.mean(axis=1, keepdims=True)
+                dc -= np.multiply(c, np.multiply(c, dc, out=t).mean(axis=1, keepdims=True), out=t)
+                dc /= safe
+            np.copyto(dc, 0.0, where=~pos)
+            dx[rows] = require_finite(dc, "standardized tangent")
         x[rows] = c
 
 
@@ -362,7 +359,7 @@ def depthwise(grid_feats: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
 def pointwise(grid_feats: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """1x1 channel mix: ``out[..., i] = sum_j kernel[i, j] * in[..., j]``."""
-    return np.asarray(grid_feats, dtype=np.float64) @ kernel.T
+    return np.asarray(grid_feats, dtype=np.float64) @ np.asarray(kernel, dtype=np.float64).T
 
 
 def _block(grid_feats, tangent, spec, params, jvp):

@@ -20,6 +20,7 @@ from flowseg.getconv import (
     getblock_forward_jvp,
     getconv_forward,
     getconv_forward_jvp,
+    pointwise,
     query_messages,
     random_layer_params,
 )
@@ -550,6 +551,15 @@ class TestDepthwise:
             depthwise(img, np.ones((3, 3, 3)))
 
 
+def test_pointwise_takes_a_list_kernel():
+    # a nested list used to raise AttributeError: 'list' object has no attribute 'T'
+    kernel = [[0, 1, 0], [0, 0, 1], [2, 0, 0]]
+    img = np.arange(12.0).reshape(2, 2, 3)
+    out = pointwise(img, kernel)
+    np.testing.assert_array_equal(out, img @ np.array(kernel, dtype=float).T)
+    np.testing.assert_array_equal(out[0, 0], [1.0, 2.0, 0.0])
+
+
 def test_jvps_do_not_call_the_forward_primitives(monkeypatch):
     # wrappers put around query_messages and diffusivity (timing, counting)
     # must see forward passes only
@@ -728,22 +738,10 @@ class TestNormalizationOverflow:
         with pytest.raises(ValueError, match="standard deviation must be finite"):
             flowseg.getconv._standardize(x, dx, cls)
 
-    def test_an_infinite_variance_derivative_raises(self):
-        rng = np.random.default_rng(32)
-        x = rng.normal(size=(48, 3)) * 1e10
-        dx = rng.normal(size=x.shape) * 1e300
-        with pytest.raises(ValueError, match="variance derivative must be finite"):
-            flowseg.getconv._standardize(x, dx, None)
-
-    @pytest.mark.parametrize(
-        "scale, tangent_scale",
-        [(1e110, 1e110), (1e10, 1e296), (1e-10, 1e300)],
-        ids=["cubed std", "c * dvar", "dc / std"],
-    )
+    @pytest.mark.parametrize("scale, tangent_scale", [(1e-10, 1e300)], ids=["dc / std"])
     @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
     def test_an_overflowing_tangent_raises(self, scale, tangent_scale, clustered):
-        # past a std of about 5.6e102 its cube overflows, and c * dvar or dc /
-        # std can with a finite std too; each used to give NaN or inf tangents
+        # dc / std is about 1e310, past the float range: a true overflow
         rng = np.random.default_rng(36)
         x = rng.normal(size=(48, 3)) * scale
         dx = rng.normal(size=x.shape) * tangent_scale
@@ -751,13 +749,25 @@ class TestNormalizationOverflow:
         with pytest.raises(ValueError, match="standardized tangent must be finite"):
             flowseg.getconv._standardize(x, dx, cls)
 
-    def test_a_large_finite_tangent_standardizes_as_the_unscaled_one(self):
-        rng = np.random.default_rng(37)
+    @pytest.mark.parametrize(
+        "seed, scale, tangent_scale",
+        [(37, 1e100, 1e100), (36, 1e110, 1e110), (36, 1e10, 1e296), (32, 1e10, 1e300)],
+        ids=["1e100", "cubed std", "c * dvar", "variance derivative"],
+    )
+    @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
+    def test_a_large_finite_tangent_standardizes_as_the_unscaled_one(
+        self, seed, scale, tangent_scale, clustered
+    ):
+        # the tangent scales by tangent_scale / scale and fits in a float; the
+        # last three used to raise, as a std cubed past 1e308, as c * dvar or as
+        # dvar itself overflowed
+        rng = np.random.default_rng(seed)
         y, dy = rng.normal(size=(48, 3)), rng.normal(size=(48, 3))
-        big, small = (y * 1e100, dy * 1e100), (y.copy(), dy.copy())
+        big, small = (y * scale, dy * tangent_scale), (y.copy(), dy.copy())
+        cls = np.arange(48) // 16 if clustered else None
         for x, dx in (big, small):
-            flowseg.getconv._standardize(x, dx, None)
-        np.testing.assert_allclose(big[1], small[1], rtol=0, atol=1e-13)
+            flowseg.getconv._standardize(x, dx, cls)
+        np.testing.assert_allclose(big[1] * (scale / tangent_scale), small[1], rtol=0, atol=1e-13)
 
     def test_a_large_finite_std_standardizes_as_the_unscaled_one(self):
         rng = np.random.default_rng(33)
@@ -787,18 +797,21 @@ class TestConstantChannel:
         np.testing.assert_array_equal(out, feats + tied.beta)
 
     @pytest.mark.parametrize("value", [0.1, 1 / 3, -7e300])
-    @pytest.mark.parametrize("jvp", [False, True], ids=["forward", "jvp"])
+    @pytest.mark.parametrize(
+        "tangent_scale", [None, 1.0, 1e25], ids=["forward", "jvp", "jvp x1e25"]
+    )
     @pytest.mark.parametrize("clustered", [False, True], ids=["plain", "clusters"])
-    def test_standardizes_to_zero_at_every_row_count(self, value, jvp, clustered):
-        # at 13 rows and more, -7e300's residue squares past the float range
+    def test_standardizes_to_zero_at_every_row_count(self, value, tangent_scale, clustered):
+        # at 13 rows and more, -7e300's residue squares past the float range,
+        # and times a tangent x1e25 it used to overflow the variance derivative
         rng = np.random.default_rng(38)
         for rows in (3, 4, 6, 10, 13, 100, 999, 12345, 10**5):
             x = np.column_stack([np.full(rows, value), rng.normal(size=rows)])
-            dx = rng.normal(size=x.shape) if jvp else None
+            dx = None if tangent_scale is None else rng.normal(size=x.shape) * tangent_scale
             flowseg.getconv._standardize(x, dx, np.zeros(rows, int) if clustered else None)
             assert not x[:, 0].any(), rows
             assert np.abs(x[:, 1]).max() > 0.5
-            if jvp:
+            if dx is not None:
                 assert not dx[:, 0].any(), rows
 
 
