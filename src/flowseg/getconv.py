@@ -137,19 +137,19 @@ def query_messages(feats: np.ndarray, params: LayerParams) -> np.ndarray:
     return _query(_finite(feats, ("N", params.w1.shape[0]), "features"), None, params)[0]
 
 
-def _edge_weights(e, de, valid):
+def _edge_weights(e, de, edge):
     """In place on a block of rows: ``e`` to ``exp(min(e, EXP_CLAMP))``, and
     ``de``, when given, to the derivative along it, 0 on the clamp; both
-    exactly +0.0 off the grid (``~valid``), as :func:`stencil_sum` needs."""
+    exactly +0.0 off the grid (``~edge``), as :func:`stencil_sum` needs."""
     np.minimum(e, EXP_CLAMP, out=e)
     if de is not None:
         # zeroed before the product, so that no clamped slot can overflow; after
         # the minimum, e < EXP_CLAMP is e != EXP_CLAMP: finite queries sum to no NaN
         bits = de.view(np.uint64)
-        np.multiply(bits, (e < EXP_CLAMP) & valid, out=bits)
+        np.multiply(bits, (e < EXP_CLAMP) & edge, out=bits)
     np.exp(e, out=e)
     bits = e.view(np.uint64)
-    np.multiply(bits, valid, out=bits)
+    np.multiply(bits, edge, out=bits)
     if de is not None:
         de *= e
 
@@ -169,7 +169,9 @@ def _pair_weights(q, dq, adj):
         flat += adj.recip
         pair_sum = lambda x, out: np.add(np.take(x, flat, out=out, mode="wrap"), x[rows], out=out)
         de = None if dq is None else pair_sum(dq, ds[rows])
-        _edge_weights(pair_sum(q, s[rows]), de, adj.valid[rows])
+        # an off-grid slot names its own node; an int64 range would upcast the block
+        own = np.arange(rows.start, rows.stop, dtype=adj.nbr_safe.dtype)[:, None]
+        _edge_weights(pair_sum(q, s[rows]), de, adj.nbr_safe[rows] != own)
 
     _on_two_threads(block, _row_blocks(*s.shape))
     return s, ds
@@ -210,7 +212,7 @@ def _confine(s, ds, clusters, adj):
     # a NaN id would fall in no group and leave its rows unwritten
     if not np.issubdtype(cls.dtype, np.integer):
         raise ValueError("cluster ids must be integer")
-    # off-grid weights are +0.0 already, whatever cluster nbr_safe points at
+    # an off-grid slot names its own node, so it is never cut; its weight is +0.0
     cut = cls[adj.nbr_safe] != cls[:, None]
     for x in (s, ds):
         if x is not None:

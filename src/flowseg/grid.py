@@ -6,7 +6,7 @@ Conventions shared by the whole package:
 * stencil offsets are enumerated in raster order (ascending row offset,
   then ascending column offset) with the center excluded; the position of
   an offset in that enumeration is its slot index ``c``, which is the same
-  for every node (boundary clipping skips offsets but never renumbers)
+  for every node; a slot off the grid names the node itself, as none on it can
 * square and disk stencils are point symmetric, so raster order puts the
   opposite offset ``-offsets[c]`` at slot ``n-1-c``; that is the reciprocal
   slot ``recip[c]`` of :class:`GridAdjacency`
@@ -103,17 +103,16 @@ def stencil_offsets(spec: NeighborhoodSpec) -> tuple[tuple[int, int], ...]:
 class GridAdjacency:
     """Vectorized stencil adjacency for one (shape, spec) pair.
 
-    ``nbr_safe[i, c]`` is the id of node i's neighbor at slot c where
-    ``valid[i, c]``, and 0 where that offset leaves the grid. In the CSR index
-    dtype, it is the column table of :func:`stencil_sum`'s operator, unmasked.
-    For a valid slot with j = nbr_safe[i, c], ``nbr_safe[j, recip[c]] == i``.
+    ``nbr_safe[i, c]`` is the id of node i's neighbor at slot c, and i itself
+    where that offset leaves the grid: slot c is an edge where it is not i. In
+    the CSR index dtype, it is the column table of :func:`stencil_sum`'s
+    operator. For an edge j = nbr_safe[i, c], ``nbr_safe[j, recip[c]] == i``.
     Construction checks dtypes, shapes and id ranges (not the wiring), so that
     no table sends the kernel past a buffer or wraps a gather: ``ValueError``.
     """
 
     shape: GridShape
     nbr_safe: np.ndarray
-    valid: np.ndarray
     recip: np.ndarray
 
     def __post_init__(self) -> None:
@@ -125,8 +124,6 @@ class GridAdjacency:
             raise ValueError(f"{n} x {k} row pointers overflow {table.dtype}")
         if table.size and not 0 <= table.min() <= table.max() < n:
             raise ValueError(f"nbr_safe ids must lie in [0, {n})")
-        if self.valid.dtype != bool or self.valid.shape != table.shape:
-            raise ValueError(f"valid must be a bool table of shape {table.shape}")
         wrong = recip.shape != (k,) or recip.dtype.kind not in "iu"
         if wrong or k and not 0 <= recip.min() <= recip.max() < k:
             raise ValueError(f"recip must hold {k} ids in [0, {k})")
@@ -136,23 +133,23 @@ class GridAdjacency:
         return self.nbr_safe.shape[1]
 
 
-@lru_cache(maxsize=4)  # a layer reuses 2 or 3 tables; a 1024² disk(5) one is ~420 MB
+@lru_cache(maxsize=4)  # a layer reuses 2 or 3 tables; a 1024² disk(5) one is ~336 MB
 def grid_adjacency(shape: GridShape, spec: NeighborhoodSpec) -> GridAdjacency:
     offs = np.array(stencil_offsets(spec), dtype=np.int64).reshape(-1, 2)
     n = shape.n_nodes
-    # a slot lands where its row and its column do: two (side, n_slots) tables
+    # a slot leaves the grid where its row or its column does: two (side, n_slots) tables
     rr, cc = np.arange(shape.h)[:, None] + offs[:, 0], np.arange(shape.w)[:, None] + offs[:, 1]
-    valid = ((rr >= 0) & (rr < shape.h))[:, None] & ((cc >= 0) & (cc < shape.w))
-    valid = valid.reshape(n, len(offs))
-    # node id plus the offset's id step, zeroed in place off the grid
+    off = ((rr < 0) | (rr >= shape.h))[:, None] | ((cc < 0) | (cc >= shape.w))
+    # node id plus the offset's id step, or in place the node's own id off the grid
     itype = _csr_index_dtype(n, len(offs))
-    nbr_safe = np.arange(n, dtype=itype)[:, None] + (offs @ [shape.w, 1]).astype(itype)
-    np.multiply(nbr_safe, valid, out=nbr_safe)
+    ids = np.arange(n, dtype=itype)[:, None]
+    nbr_safe = ids + (offs @ [shape.w, 1]).astype(itype)
+    np.copyto(nbr_safe, ids, where=off.reshape(n, len(offs)))
     # raster order of a point-symmetric stencil puts -offsets[c] at slot n-1-c
     recip = np.arange(len(offs) - 1, -1, -1)
-    for arr in (nbr_safe, valid, recip):
+    for arr in (nbr_safe, recip):
         arr.setflags(write=False)
-    return GridAdjacency(shape, nbr_safe, valid, recip)
+    return GridAdjacency(shape, nbr_safe, recip)
 
 
 def _csr_index_dtype(n_nodes: int, n_slots: int) -> type:
@@ -233,9 +230,9 @@ def stencil_sum(weights: np.ndarray, feats: np.ndarray, adj: GridAdjacency) -> n
     Each hands its rows of both tables to the CSR kernel that ``csr_array @``
     calls, loaded by :func:`_csr_kernels` without ``import scipy.sparse``,
     which adds their products straight into its rows of the zeroed output. An
-    off-grid slot is an entry at column 0 that adds +0.0 to its row. Each row
-    sums from zero in slot order, so the result is the in-grid sum bit for
-    bit, and no sum crosses the threads. Tables of other shapes raise
+    off-grid slot is an entry at its own column that adds +0.0 to its row.
+    Each row sums from zero in slot order, so the result is the in-grid sum
+    bit for bit, and no sum crosses the threads. Tables of other shapes raise
     ``ValueError``: the kernel would read or write past their buffers."""
     n, n_slots = adj.nbr_safe.shape
     if np.shape(weights) != (n, n_slots) or np.ndim(feats) != 2 or len(feats) != n:

@@ -42,6 +42,17 @@ def offsets_of(spec):
     return offsets_square(spec.size) if spec.kind == "square" else offsets_disk(spec.size)
 
 
+def in_grid(h, w, spec):
+    """(h*w, n_slots) bool table: True where node i's slot-c offset lands on
+    the h x w grid, from the offsets and the grid bounds alone."""
+    offs = offsets_of(spec)
+    rows, cols = np.divmod(np.arange(h * w), w)
+    table = np.zeros((h * w, len(offs)), dtype=bool)
+    for c, (dr, dc) in enumerate(offs):
+        table[:, c] = (0 <= rows + dr) & (rows + dr < h) & (0 <= cols + dc) & (cols + dc < w)
+    return table
+
+
 # ------------------------------------------------- displacement synthesis
 
 

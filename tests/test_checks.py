@@ -11,6 +11,7 @@ from flowseg import (
 )
 from flowseg.checks import _OPS, JACOBIAN_OPS, JACOBIAN_TOL, CheckPoint
 from flowseg.getconv import diffusivity_jvp
+from oracles import in_grid
 
 
 def masked_point(seed):
@@ -84,9 +85,10 @@ class TestJacobianCheck:
         rng = np.random.default_rng(0)
         dq = rng.normal(size=(9, 8))
         s, ds = diffusivity_jvp(np.zeros((9, 8)), dq, adj)
-        np.testing.assert_array_equal(s[adj.valid], 1.0)
+        ok = in_grid(3, 3, square(3))
+        np.testing.assert_array_equal(s[ok], 1.0)
         want = dq + dq[adj.nbr_safe, adj.recip[None, :]]
-        np.testing.assert_allclose(ds[adj.valid], want[adj.valid], atol=1e-15)
+        np.testing.assert_allclose(ds[ok], want[ok], atol=1e-15)
 
     def test_clamped_region_is_flat(self):
         point = random_check_point("diffusivity", seed=0)

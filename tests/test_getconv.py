@@ -34,6 +34,7 @@ from flowseg.grid import (
     stencil_sum,
 )
 from oracles import (
+    in_grid,
     oracle_depthwise,
     oracle_diffusivity,
     oracle_getblock,
@@ -97,8 +98,9 @@ class TestDiffusivity:
     def test_zero_queries_give_unit_edges(self):
         adj = grid_adjacency(GridShape(3, 4), square(3))
         s = diffusivity(np.zeros((12, 8)), adj)
-        np.testing.assert_array_equal(s[adj.valid], 1.0)
-        np.testing.assert_array_equal(s[~adj.valid], 0.0)
+        ok = in_grid(3, 4, square(3))
+        np.testing.assert_array_equal(s[ok], 1.0)
+        np.testing.assert_array_equal(s[~ok], 0.0)
 
     def test_two_node_symmetry(self):
         adj = grid_adjacency(GridShape(1, 2), square(3))
@@ -121,16 +123,17 @@ class TestDiffusivity:
         rng = np.random.default_rng(5)
         adj = grid_adjacency(GridShape(4, 5), square(3))
         s = diffusivity(rng.normal(size=(20, 8)), adj)
+        ok = in_grid(4, 5, square(3))
         for i in range(20):
             for c in range(8):
-                if adj.valid[i, c]:
+                if ok[i, c]:
                     assert s[i, c] == s[adj.nbr_safe[i, c], adj.recip[c]]
 
     def test_unmasked_edges_are_positive(self):
         rng = np.random.default_rng(6)
         adj = grid_adjacency(GridShape(4, 4), square(3))
         s = diffusivity(rng.normal(scale=20.0, size=(16, 8)), adj)
-        assert (s[adj.valid] > 0).all()
+        assert (s[in_grid(4, 4, square(3))] > 0).all()
 
     def test_rejects_queries_of_another_shape(self):
         adj = grid_adjacency(GridShape(2, 2), square(3))
@@ -151,7 +154,7 @@ class TestDiffusivity:
     def test_exponent_clamp(self):
         adj = grid_adjacency(GridShape(1, 2), square(3))
         s = diffusivity(np.full((2, 8), 100.0), adj)
-        np.testing.assert_array_equal(s[adj.valid], np.exp(30.0))
+        np.testing.assert_array_equal(s[in_grid(1, 2, square(3))], np.exp(30.0))
 
     @pytest.mark.parametrize(
         "relaid",
@@ -583,7 +586,8 @@ def test_a_rolled_neighbour_table_changes_the_aggregate():
     adj = grid_adjacency(GridShape(6, 7), square(3))
     wrong = dataclasses.replace(adj, nbr_safe=np.roll(adj.nbr_safe, 1, axis=1))
     z = rng.normal(size=(42, 3))
-    weights = np.where(adj.valid, rng.random(adj.valid.shape), 0.0)
+    ok = in_grid(6, 7, square(3))
+    weights = np.where(ok, rng.random(ok.shape), 0.0)
     assert not np.array_equal(stencil_sum(weights, z, wrong), stencil_sum(weights, z, adj))
     params = random_layer_params(rng, 3, adj.n_slots)
     assert not np.array_equal(getconv_forward(z, wrong, params), getconv_forward(z, adj, params))
@@ -619,11 +623,11 @@ def _weight_producers():
 
 
 def test_every_weight_producer_leaves_plus_zero_off_the_grid():
-    # stencil_sum reads off-grid slots as entries at column 0, so their
-    # weights must be exactly +0.0, also where the exponent is clamped
+    # stencil_sum reads off-grid slots as entries at their own column, so
+    # their weights must be exactly +0.0, also where the exponent is clamped
     adj, weights = _weight_producers()
     for name, w in weights.items():
-        off = w[~adj.valid]
+        off = w[~in_grid(7, 6, disk(2))]
         assert off.size and (off == 0.0).all() and not np.signbit(off).any(), name
         assert np.isfinite(w).all(), name
 
@@ -1033,10 +1037,10 @@ def test_layer_failing_on_one_thread_raises_and_leaves_no_thread(monkeypatch, on
     caller = threading.get_ident()
     weights = flowseg.getconv._edge_weights
 
-    def failing(e, de, valid):
+    def failing(e, de, edge):
         if (threading.get_ident() == caller) == on_caller:
             raise boom
-        weights(e, de, valid)
+        weights(e, de, edge)
 
     monkeypatch.setattr(flowseg.getconv, "_edge_weights", failing)
     rng = np.random.default_rng(32)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from flowseg.grid import (
     stencil_offsets,
     stencil_sum,
 )
-from oracles import offsets_disk, offsets_of, offsets_square, oracle_aggregate
+from oracles import in_grid, offsets_disk, offsets_of, offsets_square, oracle_aggregate
 
 small_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: GridShape(*t))
 specs = st.one_of(
@@ -43,9 +44,10 @@ def brute_force_neighbors(node, spec, shape):
     ]
 
 
-def table_neighbors(adj, node):
-    """``(slot, neighbor id)`` pairs of a node's valid slots in the adjacency table."""
-    slots = np.flatnonzero(adj.valid[node])
+def table_neighbors(adj, ok, node):
+    """``(slot, neighbor id)`` pairs of the adjacency table at a node's in-grid
+    slots, as the oracle table ``ok`` names them."""
+    slots = np.flatnonzero(ok[node])
     return list(zip(slots.tolist(), adj.nbr_safe[node, slots].tolist()))
 
 
@@ -91,29 +93,31 @@ def test_neighbors_interior_full_stencil():
     shape = GridShape(5, 5)
     adj = grid_adjacency(shape, square(3))
     i = 2 * shape.w + 2
-    assert adj.valid[i].all()
+    assert i not in adj.nbr_safe[i]  # every slot is an edge
     assert adj.nbr_safe[i].tolist() == [6, 7, 8, 11, 13, 16, 17, 18]
 
 
 def test_neighbors_corner_keeps_slot_indices():
     # surviving offsets at (0, 0) are (0,1), (1,0), (1,1): slots 4, 6, 7
     adj = grid_adjacency(GridShape(4, 4), square(3))
-    assert table_neighbors(adj, 0) == [(4, 1), (6, 4), (7, 5)]
+    assert table_neighbors(adj, in_grid(4, 4, square(3)), 0) == [(4, 1), (6, 4), (7, 5)]
+    # the off-grid slots name node 0 itself
     assert adj.nbr_safe[0].tolist() == [0, 0, 0, 0, 1, 0, 4, 5]
 
 
 def test_disk_interior_neighbor_count():
     shape = GridShape(64, 96)
-    assert grid_adjacency(shape, disk(4)).valid[32 * shape.w + 48].sum() == 48
+    i = 32 * shape.w + 48
+    assert len(set(grid_adjacency(shape, disk(4)).nbr_safe[i].tolist()) - {i}) == 48
 
 
 @given(small_shapes, specs)
 @settings(max_examples=40)
 def test_neighbor_symmetry(shape, spec):
-    adj = grid_adjacency(shape, spec)
+    adj, ok = grid_adjacency(shape, spec), in_grid(shape.h, shape.w, spec)
     for i in range(shape.n_nodes):
-        for _, j in table_neighbors(adj, i):
-            assert i in [t for _, t in table_neighbors(adj, j)]
+        for _, j in table_neighbors(adj, ok, i):
+            assert i in [t for _, t in table_neighbors(adj, ok, j)]
 
 
 @given(small_shapes, specs)
@@ -121,10 +125,10 @@ def test_neighbor_symmetry(shape, spec):
 def test_index_stability(shape, spec):
     # the slot of a given offset never depends on the node
     offs = stencil_offsets(spec)
-    adj = grid_adjacency(shape, spec)
+    adj, ok = grid_adjacency(shape, spec), in_grid(shape.h, shape.w, spec)
     for i in range(shape.n_nodes):
         ri, ci = divmod(i, shape.w)
-        for c, j in table_neighbors(adj, i):
+        for c, j in table_neighbors(adj, ok, i):
             rj, cj = divmod(j, shape.w)
             assert offs[c] == (rj - ri, cj - ci)
 
@@ -137,15 +141,36 @@ def test_adjacency_table_matches_neighbors(shape, spec):
     for i in range(shape.n_nodes):
         expected = dict(brute_force_neighbors(i, spec, shape))
         for c in range(adj.n_slots):
-            assert adj.valid[i, c] == (c in expected)
-            assert adj.nbr_safe[i, c] == expected.get(c, 0)
+            assert adj.nbr_safe[i, c] == expected.get(c, i)
+
+
+@given(small_shapes, specs)
+@example(GridShape(1, 1), disk(2))
+@example(GridShape(1, 8), disk(2))
+@example(GridShape(8, 1), square(3))
+@example(GridShape(2, 3), disk(5))  # a stencil wider than the grid
+@settings(max_examples=40)
+def test_an_off_grid_slot_names_its_own_node(shape, spec):
+    # no stencil holds (0, 0), so only an off-grid slot can name node i itself
+    ok = in_grid(shape.h, shape.w, spec)
+    own = np.broadcast_to(np.arange(shape.n_nodes)[:, None], ok.shape)
+    # grids past 2**31 row pointers get an int64 table from the same code
+    with mock.patch.object(flowseg.grid, "_csr_index_dtype", lambda n, k: np.int64):
+        wide = grid_adjacency.__wrapped__(shape, spec)
+    for adj, dtype in ((grid_adjacency(shape, spec), np.int32), (wide, np.int64)):
+        assert adj.nbr_safe.dtype == dtype
+        np.testing.assert_array_equal(adj.nbr_safe[~ok], own[~ok])
+        for i in range(shape.n_nodes):
+            for c, j in brute_force_neighbors(i, spec, shape):
+                assert adj.nbr_safe[i, c] == j
 
 
 def test_adjacency_reciprocity():
     adj = grid_adjacency(GridShape(6, 7), disk(2))
+    ok = in_grid(6, 7, disk(2))
     for i in range(adj.shape.n_nodes):
         for c in range(adj.n_slots):
-            if adj.valid[i, c]:
+            if ok[i, c]:
                 j = adj.nbr_safe[i, c]
                 assert adj.nbr_safe[j, adj.recip[c]] == i
 
@@ -156,8 +181,8 @@ def test_adjacency_reciprocity():
 @settings(max_examples=30)
 def test_stencil_sum_matches_brute_force_aggregate(shape, spec, channels, seed):
     rng = np.random.default_rng(seed)
-    adj = grid_adjacency(shape, spec)
-    weights = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
+    adj, ok = grid_adjacency(shape, spec), in_grid(shape.h, shape.w, spec)
+    weights = np.where(ok, rng.normal(size=ok.shape), 0.0)
     feats = rng.normal(size=(shape.n_nodes, channels))
     want = oracle_aggregate(weights, feats, shape.h, shape.w, spec)
     # grids past 2**31 row pointers take int64 index tables into the same kernel
@@ -166,18 +191,23 @@ def test_stencil_sum_matches_brute_force_aggregate(shape, spec, channels, seed):
         np.testing.assert_array_equal(stencil_sum(weights, feats, table), want)
 
 
-def test_stencil_sum_needs_finite_features_at_node_0():
-    # each off-grid slot is a 0.0 weight on node 0's features, so a non-finite
-    # value there reaches every row with an off-grid slot, as 0.0 * inf = NaN
-    shape = GridShape(4, 5)
-    adj = grid_adjacency(shape, square(3))
+@pytest.mark.parametrize("border", [0, 3], ids=["corner", "edge"])
+def test_a_non_finite_feature_reaches_only_the_rows_that_read_its_node(border):
+    # a zero weight still reads its column, and 0.0 * inf = NaN: an inf
+    # reaches its neighbours' rows, and its own row where the node has an
+    # off-grid slot, since that slot names the node itself; no other row
+    shape, spec = GridShape(6, 7), square(3)
+    adj, ok = grid_adjacency(shape, spec), in_grid(shape.h, shape.w, spec)
+    interior = 3 * shape.w + 3
     feats = np.ones((shape.n_nodes, 1))
-    feats[0] = np.inf
-    out = stencil_sum(adj.valid.astype(np.float64), feats, adj)[:, 0]
-    border = ~adj.valid.all(axis=1)
-    assert np.isnan(out[border]).all()
-    # an interior row only adds node 0's features where node 0 is its neighbour
-    assert not np.isnan(out[~border]).any()
+    feats[[interior, border]] = np.inf
+    out = stencil_sum(np.zeros(ok.shape), feats, adj)[:, 0]
+    reads = {border}  # the border node's own row
+    for i in range(shape.n_nodes):
+        reads |= {i for c, j in brute_force_neighbors(i, spec, shape) if j in (interior, border)}
+    assert not ok[border].all() and ok[interior].all()
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(out)), sorted(reads))
+    assert (out[~np.isnan(out)] == 0.0).all()
 
 
 @pytest.mark.parametrize(
@@ -205,7 +235,7 @@ import numpy as np
 from flowseg.grid import GridShape, grid_adjacency, square, stencil_sum
 adj = grid_adjacency(GridShape(64, 64), square(3))
 bad = dataclasses.replace(adj, nbr_safe=adj.nbr_safe + np.int32(10**8))
-stencil_sum(adj.valid.astype(np.float64), np.ones((adj.shape.n_nodes, 1)), bad)
+stencil_sum(np.zeros(adj.nbr_safe.shape), np.ones((adj.shape.n_nodes, 1)), bad)
 """
 
 
@@ -230,8 +260,6 @@ def test_out_of_range_neighbour_table_raises_before_the_kernel():
         ("nbr_safe", lambda a: a.nbr_safe.astype(np.int16), "int32 or int64"),
         ("nbr_safe", lambda a: a.nbr_safe[:-1], "int32 or int64"),
         ("nbr_safe", lambda a: a.nbr_safe.ravel(), "int32 or int64"),
-        ("valid", lambda a: a.valid.astype(np.int8), "bool table"),
-        ("valid", lambda a: a.valid[:, :-1], "bool table"),
         ("recip", lambda a: a.recip + 1, r"8 ids in \[0, 8\)"),
         ("recip", lambda a: a.recip - 1, r"8 ids in \[0, 8\)"),
         ("recip", lambda a: a.recip[:-1], r"8 ids in \[0, 8\)"),
@@ -248,18 +276,17 @@ def test_adjacency_refuses_row_pointers_past_int32():
     # 2**31 row pointers at 2**28 nodes of 8 slots, in broadcast views of one row
     shape = GridShape(2**14, 2**14)
     table = np.broadcast_to(np.zeros((1, 8), np.int32), (shape.n_nodes, 8))
-    valid = np.broadcast_to(np.zeros((1, 8), bool), table.shape)
     with pytest.raises(ValueError, match="row pointers overflow int32"):
-        flowseg.grid.GridAdjacency(shape, table, valid, np.arange(8))
+        flowseg.grid.GridAdjacency(shape, table, np.arange(8))
 
 
 def test_stencil_sum_peak_at_an_odd_node_count_is_bounded_by_the_even_one():
     # each half adds its products straight into its own rows of the output,
     # whatever the parity of n, so the output alone sets the peak
     def peak(shape):
-        adj = grid_adjacency(shape, disk(5))
+        adj, ok = grid_adjacency(shape, disk(5)), in_grid(shape.h, shape.w, disk(5))
         rng = np.random.default_rng(0)
-        weights = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
+        weights = np.where(ok, rng.normal(size=ok.shape), 0.0)
         feats = rng.normal(size=(shape.n_nodes, 32))
         stencil_sum(weights, feats, adj)  # the first call loads scipy's kernels
         tracemalloc.start()
@@ -299,12 +326,27 @@ def test_adjacency_build_peak_is_at_most_twice_what_it_keeps(shape, spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = adj.nbr_safe.nbytes + adj.valid.nbytes + adj.recip.nbytes
+    kept = adj.nbr_safe.nbytes + adj.recip.nbytes
     assert peak <= 2 * kept
 
 
+def test_a_fresh_adjacency_keeps_only_its_neighbour_and_reciprocal_tables():
+    # 4 B per slot per node in int32, plus the few Python objects that hold
+    # the two tables: no (N, n_slots) validity table outlives the build
+    grid_adjacency.__wrapped__(GridShape(2, 2), disk(5))  # a first build also grows free lists
+    tracemalloc.start()
+    try:
+        adj = grid_adjacency.__wrapped__(GridShape(64, 64), disk(5))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = adj.nbr_safe.nbytes + adj.recip.nbytes
+    assert adj.nbr_safe.nbytes == 4 * 64 * 64 * 80
+    assert tables <= kept <= tables + 4096
+
+
 def test_adjacency_cache_keeps_at_most_four_tables(monkeypatch):
-    # one 1024x1024 disk(5) entry holds about 420 MB; a layer reuses two or
+    # one 1024x1024 disk(5) entry holds about 336 MB; a layer reuses two or
     # three tables
     for side in range(2, 7):
         grid_adjacency(GridShape(side, 3), square(3))

@@ -12,6 +12,7 @@ import pytest
 import flowseg
 
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = str(ROOT / "tests")  # for the oracles a child process imports
 
 
 def run_python(*args):
@@ -109,10 +110,13 @@ import sys
 import threading
 import numpy as np
 from flowseg.grid import GridShape, disk, grid_adjacency, stencil_sum
+sys.path.insert(0, {tests!r})
+from oracles import in_grid
 {before}
 adj = grid_adjacency(GridShape(13, 17), disk(3))
 rng = np.random.default_rng(0)
-w = np.where(adj.valid, rng.normal(size=adj.valid.shape), 0.0)
+ok = in_grid(13, 17, disk(3))
+w = np.where(ok, rng.normal(size=ok.shape), 0.0)
 x = rng.normal(size=(adj.shape.n_nodes, 3))
 {call}
 from scipy.sparse import csr_array
@@ -130,7 +134,7 @@ def test_stencil_sum_and_scipy_sparse_share_the_kernels(scipy_first):
         "got = [stencil_sum(w, x, adj)]\n"
         f"assert ('scipy.sparse' in sys.modules) is {scipy_first}"
     )
-    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before=before, call=call))
+    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before=before, call=call, tests=TESTS))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
@@ -148,7 +152,7 @@ def test_two_threads_making_the_first_kernel_call_at_once():
         "assert not any(t.is_alive() for t in threads)\n"
         "assert 'scipy.sparse' not in sys.modules"
     )
-    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before="", call=call))
+    proc = run_python("-c", STENCIL_AGAINST_CSR_ARRAY.format(before="", call=call, tests=TESTS))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
